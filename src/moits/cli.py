@@ -91,10 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
-
-
 def _write(path, text):
     if path is None:
         sys.stdout.write(text)

@@ -253,7 +253,9 @@ class TestCriterion3Tabu:
         state = TabuState.fresh(2)
         keys = [evaluator.key(x_star)]
         for k in range(1, 300):
-            x = tabu_move(x, x_star, k, state, evaluator, rng)
+            x = evaluator.point(tabu_move(
+                evaluator.index(x), evaluator.index(x_star), k, state, evaluator, rng.random
+            ))
             if evaluator.key(x) < evaluator.key(x_star):
                 x_star = x
             keys.append(evaluator.key(x_star))
@@ -271,9 +273,10 @@ class TestCriterion3Tabu:
         state = TabuState.fresh(2)
         for k in range(1, 200):
             before = list(state.t)
-            moved = tabu_move(
-                x, x_star, k, state, evaluator, rng, literal_diversification=False
-            )
+            moved = evaluator.point(tabu_move(
+                evaluator.index(x), evaluator.index(x_star), k, state, evaluator, rng.random,
+                literal_diversification=False,
+            ))
             if moved != x:
                 stamped = [j for j in range(2) if state.t[j] == k and before[j] != k]
                 assert len(stamped) == 1
@@ -289,7 +292,8 @@ class TestCriterion3Tabu:
         rng = np.random.default_rng(9)
         for k in range(1, 50):
             state = TabuState.fresh(2)  # stale memory forces the kick
-            tabu_move((5, 5), (5, 5), k, state, evaluator, rng)
+            start = evaluator.index((5, 5))
+            tabu_move(start, start, k, state, evaluator, rng.random)
             assert state.t.count(k) == 1
 
     def test_1d_unimodal_completeness(self):

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from moits.benchmarks import benchmark
 from moits.de import single_objective
-from moits.problems import Problem, deb_key, evaluate, feasible_lattice
+from moits.problems import Evaluation, Problem, deb_key, evaluate, feasible_lattice
 from moits.tabu import (
+    SEGMENT,
     CachedEvaluator,
     TabuState,
     stochastic_round,
@@ -95,13 +99,20 @@ class TestCachedEvaluator:
             tabu_search((0, 0), 5, OBJ1, np.random.default_rng(0))
 
 
+def move(x, x_star, k, state, evaluator, rng, literal_diversification=True):
+    """``tabu_move`` on points instead of flat indices, drawing from ``rng``."""
+    i = tabu_move(evaluator.index(x), evaluator.index(x_star), k, state, evaluator,
+                  rng.random, literal_diversification)
+    return evaluator.point(i)
+
+
 class TestTabuMove:
     def test_improving_neighbor_taken_and_stamped(self):
         ev = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
         state = TabuState.fresh(2)
         state.t = [0, 0]  # recent enough to skip the diversification branch
-        moved = tabu_move((0, 0), (0, 0), k=1, state=state, evaluator=ev,
-                          rng=np.random.default_rng(0))
+        moved = move((0, 0), (0, 0), k=1, state=state, evaluator=ev,
+                     rng=np.random.default_rng(0))
         assert moved == (1, 0)
         assert state.t[0] == 1 and state.t[1] == 0
 
@@ -111,8 +122,8 @@ class TestTabuMove:
         state = TabuState.fresh(2)
         state.t = [0, 0]
         before = list(state.t)
-        moved = tabu_move((2, -3), (2, -3), k=1, state=state, evaluator=ev,
-                          rng=np.random.default_rng(0))
+        moved = move((2, -3), (2, -3), k=1, state=state, evaluator=ev,
+                     rng=np.random.default_rng(0))
         assert moved == (2, -3)
         assert state.t == before
 
@@ -120,17 +131,17 @@ class TestTabuMove:
         # both variables stamped this iteration; the improving move toward the
         # center does not beat the overall best, so nothing is admissible
         ev = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
-        state = TabuState(t=[5, 5], iteration=5)
-        moved = tabu_move((0, 0), (2, 0), k=5, state=state, evaluator=ev,
-                          rng=np.random.default_rng(0))
+        state = TabuState(t=[5, 5])
+        moved = move((0, 0), (2, 0), k=5, state=state, evaluator=ev,
+                     rng=np.random.default_rng(0))
         assert moved == (0, 0)
 
     def test_aspiration_overrides_tabu(self):
         # same stamps, but the move lands on a point better than the best yet
         ev = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
-        state = TabuState(t=[5, 5], iteration=5)
-        moved = tabu_move((1, 0), (0, 0), k=5, state=state, evaluator=ev,
-                          rng=np.random.default_rng(0))
+        state = TabuState(t=[5, 5])
+        moved = move((1, 0), (0, 0), k=5, state=state, evaluator=ev,
+                     rng=np.random.default_rng(0))
         assert moved == (2, 0)
 
     def test_diversification_when_memory_stale(self):
@@ -140,7 +151,7 @@ class TestTabuMove:
         problem = ev.problem
         for k in range(1, 20):
             state.t = [-2, -2]
-            moved = tabu_move((0, 0), (0, 0), k=k, state=state, evaluator=ev, rng=rng)
+            moved = move((0, 0), (0, 0), k=k, state=state, evaluator=ev, rng=rng)
             changed = [j for j in range(2) if moved[j] != 0]
             assert len(changed) <= 1
             assert state.t.count(k) == 1  # exactly one coordinate stamped
@@ -150,16 +161,16 @@ class TestTabuMove:
     def test_diversification_disabled(self):
         ev = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
         state = TabuState.fresh(2)
-        moved = tabu_move((0, 0), (0, 0), k=1, state=state, evaluator=ev,
-                          rng=np.random.default_rng(0), literal_diversification=False)
+        moved = move((0, 0), (0, 0), k=1, state=state, evaluator=ev,
+                     rng=np.random.default_rng(0), literal_diversification=False)
         assert moved == (1, 0)  # falls through to the neighborhood scan
 
     def test_respects_bounds(self):
         ev = CachedEvaluator(quad_problem(lower=(0, 0), upper=(3, 3), center=(-5, -5)), OBJ1)
         state = TabuState.fresh(2)
         state.t = [0, 0]
-        moved = tabu_move((0, 0), (0, 0), k=1, state=state, evaluator=ev,
-                          rng=np.random.default_rng(0))
+        moved = move((0, 0), (0, 0), k=1, state=state, evaluator=ev,
+                     rng=np.random.default_rng(0))
         assert all(0 <= v <= 3 for v in moved)
 
 
@@ -216,3 +227,150 @@ class TestTabuSearch:
         problem = quad_problem()
         result = tabu_search((1.0, 1.0), 10, OBJ1, np.random.default_rng(0), problem=problem)
         assert all(isinstance(v, int) for v in result)
+
+
+class TestOutOfBox:
+    # (-5, 6) would alias (-4, -5): its last offset, 11, carries into the first
+    @pytest.mark.parametrize("point", [(-5, 6), (6, 0), (0, -6), (0, 0, 0)])
+    def test_rejected_naming_the_point(self, point):
+        ev = CachedEvaluator(quad_problem(), OBJ1)
+
+        def search(x):
+            return tabu_search(x, 5, OBJ1, np.random.default_rng(0), evaluator=ev)
+
+        for call in (ev.key, ev.evaluation, search):
+            with pytest.raises(ValueError, match=re.escape(f"point {point} lies outside")):
+                call(point)
+
+
+# -- the tuple/dict walk the flat-index kernel replaced, kept as its reference --
+
+
+class _ReferenceEvaluator:
+    def __init__(self, problem: Problem, objective=None):
+        self.problem = problem
+        self.objective = objective
+        self._evals: dict[tuple[int, ...], Evaluation] = {}
+        self._keys: dict[tuple[int, ...], tuple] = {}
+
+    def evaluation(self, x: tuple[int, ...]) -> Evaluation:
+        ev = self._evals.get(x)
+        if ev is None:
+            ev = evaluate(self.problem, x)
+            self._evals[x] = ev
+        return ev
+
+    def key(self, x: tuple[int, ...]):
+        k = self._keys.get(x)
+        if k is None:
+            ev = self.evaluation(x)
+            k = deb_key(self.objective.fitness(ev), ev.violation)
+            self._keys[x] = k
+        return k
+
+
+def _reference_tabu_move(x, x_star, k, state, evaluator, rng, literal_diversification=True):
+    problem = evaluator.problem
+    n = problem.dimension
+    lo, up = problem.lower_bounds, problem.upper_bounds
+    t = state.t
+
+    if literal_diversification and all(k - tj > n for tj in t):
+        c = int(rng.random() * n)
+        value = lo[c] + int(rng.random() * (up[c] - lo[c] + 1))
+        moved = list(x)
+        moved[c] = value
+        t[c] = k
+        return tuple(moved)
+
+    best = x
+    best_key = evaluator.key(x)
+    star_key = evaluator.key(x_star)
+    winner = -1
+    for j in range(n):
+        tenure = 1 + int(rng.random() * n)
+        xj = x[j]
+        for delta in (-1, 1):
+            sj = xj + delta
+            if sj < lo[j] or sj > up[j]:
+                continue
+            candidate = x[:j] + (sj,) + x[j + 1 :]
+            cand_key = evaluator.key(candidate)
+            if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
+                best = candidate
+                best_key = cand_key
+                winner = j
+    if winner >= 0:
+        t[winner] = k
+    return best
+
+
+def _reference_tabu_search(x0, iterations, rng, evaluator, literal_diversification, visited):
+    n = evaluator.problem.dimension
+    x = tuple(int(v) for v in x0)
+    x_star = x
+    state = TabuState.fresh(n)
+    if visited is not None:
+        visited.add(x)
+    for k in range(1, iterations + 1):
+        x = _reference_tabu_move(x, x_star, k, state, evaluator, rng, literal_diversification)
+        if visited is not None:
+            visited.add(x)
+        if evaluator.key(x) < evaluator.key(x_star):
+            x_star = x
+    return x_star
+
+
+def box_problem(lower, widths, center, capacity):
+    """Integer quadratic (many ties) under one linear cap (infeasible points)."""
+    return Problem(
+        dimension=len(lower),
+        objectives=((lambda x: sum((v - c) ** 2 for v, c in zip(x, center)), "min"),),
+        constraints=(lambda x: float(sum(x) - capacity),),
+        lower_bounds=tuple(lower),
+        upper_bounds=tuple(lo + w for lo, w in zip(lower, widths)),
+    )
+
+
+@st.composite
+def boxes(draw):
+    n = draw(st.integers(1, 3))
+    lower = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    widths = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    center = draw(st.lists(st.integers(-9, 12), min_size=n, max_size=n))
+    return lower, widths, center, draw(st.integers(-12, 15))
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        box=boxes(),
+        iterations=st.sampled_from([0, 1, 7, SEGMENT, SEGMENT + 1, 2 * SEGMENT + 37]),
+        literal=st.booleans(),
+        searches=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(box=([-3], [5], [0], 9), iterations=2 * SEGMENT + 37, literal=True, searches=2, seed=1)
+    @example(box=([-3], [5], [0], 9), iterations=2 * SEGMENT + 37, literal=False, searches=2, seed=1)
+    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), iterations=SEGMENT + 1, literal=True,
+             searches=3, seed=2)
+    def test_same_best_trail_and_generator_state(self, box, iterations, literal, searches, seed):
+        # one evaluator of each kind shared by all searches, as in stage 3
+        problem = box_problem(*box)
+        kernel, reference = CachedEvaluator(problem, OBJ1), _ReferenceEvaluator(problem, OBJ1)
+        kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        kernel_trail, reference_trail = set(), set()
+        for _ in range(searches):
+            x0 = tuple(int(kernel_rng.integers(lo, up + 1))
+                       for lo, up in zip(problem.lower_bounds, problem.upper_bounds))
+            assert x0 == tuple(int(reference_rng.integers(lo, up + 1))
+                               for lo, up in zip(problem.lower_bounds, problem.upper_bounds))
+            best = tabu_search(x0, iterations, OBJ1, kernel_rng, evaluator=kernel,
+                               literal_diversification=literal, visited=kernel_trail)
+            expected = _reference_tabu_search(x0, iterations, reference_rng, reference,
+                                              literal, reference_trail)
+            assert best == expected
+            assert kernel_trail == reference_trail
+            assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
+        # the same lazy misses: the kernel evaluated exactly the reference's points
+        assert {kernel.point(i) for i in kernel._evals} == set(reference._evals)
