@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 
 import numpy as np
 
@@ -24,6 +25,21 @@ from .de import DEConfig, VARIANTS
 
 _DE_FIELDS = {f.name for f in dataclasses.fields(DEConfig)}
 _HYBRID_FIELDS = {f.name for f in dataclasses.fields(pipeline.HybridConfig)} - {"de"}
+_FIELD_TYPES = {
+    **typing.get_type_hints(pipeline.HybridConfig),
+    **typing.get_type_hints(DEConfig),
+}
+
+
+def _check_type(key: str, value) -> None:
+    """A config value must have its field's type; a bool is not an int, and
+    an int is accepted for a float."""
+    expected = _FIELD_TYPES[key]
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        raise ValueError(
+            f"config key {key} must be {expected.__name__}, not {type(value).__name__} {value!r}"
+        )
 
 
 def load_config(path: str | None, **overrides) -> pipeline.HybridConfig:
@@ -36,12 +52,16 @@ def load_config(path: str | None, **overrides) -> pipeline.HybridConfig:
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
     data.update({k: v for k, v in overrides.items() if v is not None})
     de_kwargs = {k: v for k, v in data.items() if k in _DE_FIELDS}
     hybrid_kwargs = {k: v for k, v in data.items() if k in _HYBRID_FIELDS}
     unknown = set(data) - _DE_FIELDS - _HYBRID_FIELDS
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        _check_type(key, value)
     return pipeline.HybridConfig(de=DEConfig(**de_kwargs), **hybrid_kwargs)
 
 

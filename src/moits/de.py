@@ -5,7 +5,13 @@ population best) and ``degl`` (linear combination of a ring-neighborhood
 local donor and a global donor). Selection follows the feasibility rules
 (feasible beats infeasible, fitness among feasibles, violation among
 infeasibles); the global and neighborhood best individuals are chosen by
-ranking the (fitness, violation) pairs with all-cost TOPSIS.
+ranking the (fitness, violation) pairs with all-cost TOPSIS, the ring
+neighborhoods of a generation in one batched election.
+
+:func:`run` is built from the public primitives: one ``mutate_*`` call,
+:func:`crossover` and :func:`clamp` per member and generation. The bests
+are elected once at the start of each generation and passed in, so
+replacements made during the generation do not move them.
 
 The engine optimizes one scalarized fitness at a time; a
 :class:`ScalarObjective` maps a cached evaluation to that scalar, which lets
@@ -15,7 +21,7 @@ the same engine serve every stage of the compromise pipeline.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +42,6 @@ __all__ = [
     "weight_r",
     "crossover",
     "clamp",
-    "select",
     "choose_best",
     "run",
 ]
@@ -143,23 +148,20 @@ def _neighborhood(i: int, k: int, size: int):
     return [(i + off) % size for off in range(-k, k + 1)]
 
 
-def local_global_donors(pop, i, alpha, beta, neighborhood_k, rng, objective, gbest_index):
-    """Local donor from the ring neighborhood (its own TOPSIS-best member) and
-    global donor from the whole population."""
-    neigh = _neighborhood(i, neighborhood_k, len(pop))
-    best_j = choose_best(pop, neigh, objective)
+def local_global_donors(pop, i, alpha, beta, neigh, local_best, gbest_index, rng):
+    """Local donor from the ring neighborhood ``neigh`` of member ``i``, pulled
+    toward its best member ``local_best``, and global donor from the whole
+    population, pulled toward ``gbest_index``."""
     p, q = _draw_distinct(rng, neigh, (i,), 2)
     xi = pop[i].x
-    local = xi + alpha * (pop[best_j].x - xi) + beta * (pop[p].x - pop[q].x)
+    local = xi + alpha * (pop[local_best].x - xi) + beta * (pop[p].x - pop[q].x)
     p2, q2 = _draw_distinct(rng, range(len(pop)), (i,), 2)
     glob = xi + alpha * (pop[gbest_index].x - xi) + beta * (pop[p2].x - pop[q2].x)
     return local, glob
 
 
-def mutate_degl(pop, i, alpha, beta, r, neighborhood_k, rng, objective, gbest_index):
-    local, glob = local_global_donors(
-        pop, i, alpha, beta, neighborhood_k, rng, objective, gbest_index
-    )
+def mutate_degl(pop, i, alpha, beta, r, neigh, local_best, gbest_index, rng):
+    local, glob = local_global_donors(pop, i, alpha, beta, neigh, local_best, gbest_index, rng)
     return r * glob + (1.0 - r) * local
 
 
@@ -176,60 +178,37 @@ def crossover(target: np.ndarray, donor: np.ndarray, Cr: float, rng: np.random.G
     return np.where(mask, donor, target)
 
 
-def clamp(trial: np.ndarray, problem: Problem) -> np.ndarray:
-    return np.clip(
-        trial,
-        np.asarray(problem.lower_bounds, dtype=float),
-        np.asarray(problem.upper_bounds, dtype=float),
-    )
+def clamp(trial: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Clip ``trial`` into the box [lo, up] in place and return it."""
+    return np.clip(trial, lo, up, out=trial)
 
 
-def select(target: Individual, trial: Individual, objective: ScalarObjective) -> Individual:
-    """Trial replaces the target only when strictly better under the
-    feasibility rules; ties keep the incumbent."""
-    key_trial = deb_key(objective.fitness(trial.eval), trial.eval.violation)
-    key_target = deb_key(objective.fitness(target.eval), target.eval.violation)
-    return trial if key_trial < key_target else target
+def _elect(fit: np.ndarray, vio: np.ndarray, idx: np.ndarray):
+    """TOPSIS election over the (fitness, violation) pairs of the members in
+    ``idx``. A 1-D index set gives the population index of its best member; a
+    2-D array of rows gives one best index per row."""
+    entries = np.empty(idx.shape + (2,))
+    entries[..., 0] = fit[idx]
+    entries[..., 1] = vio[idx]
+    best = cost_closeness(entries).argmax(axis=-1)
+    return idx[best] if idx.ndim == 1 else idx[np.arange(len(idx)), best]
+
+
+def _channels(pop, objective: ScalarObjective):
+    """Fitness and violation arrays of a population."""
+    fit = np.array([objective.fitness(ind.eval) for ind in pop])
+    vio = np.array([ind.eval.violation for ind in pop])
+    return fit, vio
 
 
 def choose_best(pop, indices, objective: ScalarObjective) -> int:
     """TOPSIS over the (fitness, violation) pairs of the given members, both
     criteria cost with uniform weights; returns the population index with the
     greatest closeness coefficient."""
-    idx = list(indices)
-    if not idx:
+    idx = np.fromiter(indices, dtype=np.intp)
+    if not len(idx):
         raise ValueError("cannot choose the best of an empty index set")
-    entries = np.empty((len(idx), 2))
-    for row, j in enumerate(idx):
-        entries[row, 0] = objective.fitness(pop[j].eval)
-        entries[row, 1] = pop[j].eval.violation
-    return idx[int(np.argmax(cost_closeness(entries)))]
-
-
-def _best_of(fit: np.ndarray, vio: np.ndarray, idx) -> int:
-    entries = np.column_stack((fit[idx], vio[idx]))
-    return idx[int(np.argmax(cost_closeness(entries)))]
-
-
-def _neighborhood_bests(fit, vio, neigh: np.ndarray) -> np.ndarray:
-    """Per-row TOPSIS best over the ring neighborhoods, batched.
-
-    ``neigh`` has one row of member indices per population slot; the result
-    is the chosen population index per slot. Same arithmetic as
-    :func:`moits.topsis.cost_closeness`, vectorized across neighborhoods.
-    """
-    entries = np.stack((fit[neigh], vio[neigh]), axis=2)
-    scale = np.abs(entries).max(axis=1, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    normalized = entries / scale
-    positive = normalized.min(axis=1, keepdims=True)
-    negative = normalized.max(axis=1, keepdims=True)
-    d_plus = np.sqrt(((positive - normalized) ** 2).sum(axis=2) * 0.5)
-    d_minus = np.sqrt(((negative - normalized) ** 2).sum(axis=2) * 0.5)
-    total = d_plus + d_minus
-    xi = np.where(total > 0.0, d_minus / np.where(total > 0.0, total, 1.0), 1.0)
-    rows = np.arange(neigh.shape[0])
-    return neigh[rows, xi.argmax(axis=1)]
+    return int(_elect(*_channels(pop, objective), idx))
 
 
 def run(problem, config: DEConfig, objective, rng, initial=None):
@@ -240,15 +219,12 @@ def run(problem, config: DEConfig, objective, rng, initial=None):
     """
     pop = list(initial) if initial is not None else init_population(problem, config, rng)
     np_size = len(pop)
-    fit = np.array([objective.fitness(ind.eval) for ind in pop])
-    vio = np.array([ind.eval.violation for ind in pop])
+    fit, vio = _channels(pop, objective)
     lo = np.asarray(problem.lower_bounds, dtype=float)
     up = np.asarray(problem.upper_bounds, dtype=float)
     indices = np.arange(np_size)
-    F, Cr = config.scale_factor, config.crossover_rate
-    n = problem.dimension
-
-    if config.variant == "degl":
+    F, Cr, variant = config.scale_factor, config.crossover_rate, config.variant
+    if variant == "degl":
         neigh_rows = np.array(
             [_neighborhood(i, config.neighborhood_k, np_size) for i in range(np_size)]
         )
@@ -256,30 +232,21 @@ def run(problem, config: DEConfig, objective, rng, initial=None):
         r = weight_r(iteration, config.max_iterations)
         # best indices are frozen at generation start (slot updates within the
         # generation do not re-elect them)
-        gbest = _best_of(fit, vio, indices) if config.variant != "rand1" else -1
-        if config.variant == "degl":
-            local_bests = _neighborhood_bests(fit, vio, neigh_rows)
+        if variant != "rand1":
+            gbest = _elect(fit, vio, indices)
+        if variant == "degl":
+            local_bests = _elect(fit, vio, neigh_rows)
         for i in range(np_size):
-            if config.variant == "rand1":
+            if variant == "rand1":
                 donor = mutate_rand1(pop, i, F, rng)
-            elif config.variant == "best":
+            elif variant == "best":
                 donor = mutate_best(pop, i, F, gbest, rng, config.canonical_best)
             else:
-                neigh = neigh_rows[i]
-                p, q = _draw_distinct(rng, neigh, (i,), 2)
-                xi = pop[i].x
-                local = xi + config.alpha * (pop[local_bests[i]].x - xi) + config.beta * (
-                    pop[p].x - pop[q].x
+                donor = mutate_degl(
+                    pop, i, config.alpha, config.beta, r,
+                    neigh_rows[i], local_bests[i], gbest, rng,
                 )
-                p2, q2 = _draw_distinct(rng, range(np_size), (i,), 2)
-                glob = xi + config.alpha * (pop[gbest].x - xi) + config.beta * (
-                    pop[p2].x - pop[q2].x
-                )
-                donor = r * glob + (1.0 - r) * local
-            mask = rng.random(n) <= Cr
-            mask[int(rng.random() * n)] = True
-            trial = np.where(mask, donor, pop[i].x)
-            np.clip(trial, lo, up, out=trial)
+            trial = clamp(crossover(pop[i].x, donor, Cr, rng), lo, up)
             ev = evaluate(problem, trial.tolist())
             f_trial = objective.fitness(ev)
             if deb_key(f_trial, ev.violation) < deb_key(fit[i], vio[i]):

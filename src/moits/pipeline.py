@@ -52,7 +52,6 @@ class HybridConfig:
     ts_iterations: int = 1000
     alternations: int = 10
     runs: int = 20
-    include_violation_objective: bool = True
     oracle_anchors: bool = False
     literal_diversification: bool = True
 
@@ -361,9 +360,7 @@ def stage3_alternate(
 
 def compute_anchors(problem: Problem, config: HybridConfig, rng):
     """Stages 1 and 2 on the violation-augmented problem."""
-    problem_k = (
-        augment_with_violation(problem) if config.include_violation_objective else problem
-    )
+    problem_k = augment_with_violation(problem)
     if config.oracle_anchors:
         f_star, f_minus = oracle_anchor_values(problem_k)
     else:

@@ -6,6 +6,12 @@ positive/negative ideal rows are extracted, and each alternative gets a
 closeness coefficient ``xi = d- / (d+ + d-)``; ranking is by descending
 ``xi``. In the solver, the criteria are the (minimization-sense) objective
 values plus the maximum constraint violation, all treated as cost.
+
+:func:`closeness` is the one distance and closeness formula: :func:`rank`
+and the lean all-cost :func:`cost_closeness` both call it. :func:`normalize`,
+:func:`closeness` and :func:`cost_closeness` work over leading batch axes
+(alternatives on axis -2, criteria on axis -1), so a stack of matrices is
+ranked in one call.
 """
 
 from __future__ import annotations
@@ -89,12 +95,12 @@ def build_matrix(evaluations, weights=None) -> DecisionMatrix:
     return DecisionMatrix(entries, (COST,) * ncols, np.asarray(weights, dtype=float))
 
 
-def normalize(matrix: DecisionMatrix) -> np.ndarray:
-    """Divide each column by its maximum absolute value; all-zero columns stay zero."""
-    entries = matrix.entries
-    scale = np.abs(entries).max(axis=0)
-    safe = np.where(scale == 0.0, 1.0, scale)
-    return entries / safe
+def normalize(entries: np.ndarray) -> np.ndarray:
+    """Divide each column by its maximum absolute value over the alternatives
+    (axis -2); all-zero columns stay zero. Leading axes are a batch."""
+    scale = np.abs(entries).max(axis=-2, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    return entries / scale
 
 
 def ideal_solutions(normalized: np.ndarray, senses) -> tuple[np.ndarray, np.ndarray]:
@@ -111,14 +117,18 @@ def ideal_solutions(normalized: np.ndarray, senses) -> tuple[np.ndarray, np.ndar
 def closeness(normalized, positive_ideal, negative_ideal, weights):
     """Weighted Euclidean distances to each ideal and the closeness coefficient.
 
-    Weights multiply the squared differences inside the root. Alternatives
-    coinciding with both ideals (d+ = d- = 0) get closeness 1.
+    Criteria lie on the last axis, alternatives on the one before it; leading
+    axes are a batch. Weights (one per criterion, or a scalar) multiply the
+    squared differences inside the root. Alternatives coinciding with both
+    ideals (d+ = d- = 0) get closeness 1.
     """
-    w = np.asarray(weights, dtype=float)
-    d_plus = np.sqrt(((positive_ideal - normalized) ** 2 * w).sum(axis=1))
-    d_minus = np.sqrt(((negative_ideal - normalized) ** 2 * w).sum(axis=1))
+    d_plus = np.sqrt(((positive_ideal - normalized) ** 2 * weights).sum(axis=-1))
+    d_minus = np.sqrt(((negative_ideal - normalized) ** 2 * weights).sum(axis=-1))
     total = d_plus + d_minus
-    xi = np.where(total > 0.0, d_minus / np.where(total > 0.0, total, 1.0), 1.0)
+    degenerate = ~(total > 0.0)
+    total[degenerate] = 1.0
+    xi = d_minus / total
+    xi[degenerate] = 1.0
     return d_plus, d_minus, xi
 
 
@@ -127,7 +137,7 @@ def rank(matrix: DecisionMatrix) -> TopsisRanking:
 
     Ordering is by descending closeness; ties keep the lower row index.
     """
-    normalized = normalize(matrix)
+    normalized = normalize(matrix.entries)
     positive, negative = ideal_solutions(normalized, matrix.criteria_senses)
     d_plus, d_minus, xi = closeness(normalized, positive, negative, matrix.weights)
     order = tuple(int(i) for i in np.argsort(-xi, kind="stable"))
@@ -140,22 +150,13 @@ def best_alternative(ranking: TopsisRanking) -> int:
 
 
 def cost_closeness(entries: np.ndarray) -> np.ndarray:
-    """Closeness coefficients for an all-cost matrix with uniform weights.
+    """Closeness coefficients of all-cost matrices with uniform weights.
 
-    Lean path used inside the optimizer loops; identical arithmetic to
-    :func:`rank` specialized to cost criteria.
+    Lean path used inside the optimizer loops: :func:`rank` specialized to
+    cost criteria, over leading batch axes (alternatives on axis -2, criteria
+    on axis -1).
     """
-    scale = np.abs(entries).max(axis=0)
-    scale[scale == 0.0] = 1.0
-    normalized = entries / scale
-    positive = normalized.min(axis=0)
-    negative = normalized.max(axis=0)
-    w = 1.0 / entries.shape[1]
-    d_plus = np.sqrt(((positive - normalized) ** 2).sum(axis=1) * w)
-    d_minus = np.sqrt(((negative - normalized) ** 2).sum(axis=1) * w)
-    total = d_plus + d_minus
-    zero = total == 0.0
-    total[zero] = 1.0
-    xi = d_minus / total
-    xi[zero] = 1.0
-    return xi
+    normalized = normalize(entries)
+    positive = normalized.min(axis=-2, keepdims=True)
+    negative = normalized.max(axis=-2, keepdims=True)
+    return closeness(normalized, positive, negative, 1.0 / entries.shape[-1])[2]

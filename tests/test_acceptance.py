@@ -210,10 +210,12 @@ class TestCriterion3DE:
         rng = np.random.default_rng(8)
         pop = de_mod.init_population(problem, DEConfig(population_size=8), rng)
         objective = single_objective(0, 3)
-        kwargs = dict(
-            alpha=0.8, beta=0.8, neighborhood_k=2, objective=objective, gbest_index=0
-        )
         for i in range(8):
+            neigh = de_mod._neighborhood(i, 2, len(pop))
+            kwargs = dict(
+                alpha=0.8, beta=0.8, neigh=neigh, gbest_index=0,
+                local_best=choose_best(pop, neigh, objective),
+            )
             local, glob = de_mod.local_global_donors(
                 pop, i, rng=np.random.default_rng(i), **kwargs
             )

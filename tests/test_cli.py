@@ -47,6 +47,12 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="populaton_size"):
             load_config(str(path))
 
+    def test_int_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"crossover_rate": 1, "scale_factor": 0.5}')
+        config = load_config(str(path))
+        assert (config.de.crossover_rate, config.de.scale_factor) == (1, 0.5)
+
 
 class TestUsageErrors:
     def test_no_subcommand_exits_2(self, capsys):
@@ -70,6 +76,24 @@ class TestUsageErrors:
         code = main(["solve", "--problem", "p3", "--config", str(path)])
         assert code == 1
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"population_size": "40"}',
+            '{"ts_iterations": 1.5, "runs": 1}',
+            '[{"runs": 1}]',
+            '{"runs": true}',
+            '{"crossover_rate": "0.9"}',
+            '{"oracle_anchors": 1}',
+            '{"alternations": null}',
+        ],
+    )
+    def test_mistyped_config_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", "--problem", "p3", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_config_file_exits_1(self, capsys):
         assert main(["solve", "--problem", "p3", "--config", "/no/such.json"]) == 1

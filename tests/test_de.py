@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from moits.de import (
     mutate_degl,
     mutate_rand1,
     run,
-    select,
     single_objective,
     weight_r,
 )
@@ -38,6 +39,20 @@ def make_pop(xs, problem=None):
 
 
 OBJ1 = single_objective(0, 1)
+
+
+def ring(pop, i, k, objective=OBJ1):
+    """The ring neighborhood of member ``i`` and its elected best, as DEGL
+    keyword arguments."""
+    neigh = de._neighborhood(i, k, len(pop))
+    return dict(neigh=neigh, local_best=choose_best(pop, neigh, objective))
+
+
+def box(problem):
+    return (
+        np.asarray(problem.lower_bounds, dtype=float),
+        np.asarray(problem.upper_bounds, dtype=float),
+    )
 
 
 class TestConfig:
@@ -121,7 +136,7 @@ class TestMutation:
 
     def test_degl_endpoints_exact(self):
         pop = make_pop([(i, 2 * i) for i in range(6)])
-        kwargs = dict(alpha=0.8, beta=0.8, neighborhood_k=2, objective=OBJ1, gbest_index=0)
+        kwargs = dict(alpha=0.8, beta=0.8, gbest_index=0, **ring(pop, 2, 2))
         local, glob = local_global_donors(pop, 2, rng=np.random.default_rng(7), **kwargs)
         v0 = mutate_degl(pop, 2, r=0.0, rng=np.random.default_rng(7), **kwargs)
         v1 = mutate_degl(pop, 2, r=1.0, rng=np.random.default_rng(7), **kwargs)
@@ -132,8 +147,8 @@ class TestMutation:
         pop = make_pop([(3, 4)] * 6)
         for r in (0.0, 0.3, 1.0):
             donor = mutate_degl(
-                pop, 1, alpha=0.8, beta=0.8, r=r, neighborhood_k=2,
-                rng=np.random.default_rng(0), objective=OBJ1, gbest_index=0,
+                pop, 1, alpha=0.8, beta=0.8, r=r, **ring(pop, 1, 2),
+                rng=np.random.default_rng(0), gbest_index=0,
             )
             np.testing.assert_allclose(donor, [3.0, 4.0])
 
@@ -176,37 +191,19 @@ class TestCrossover:
 class TestClamp:
     def test_clips_to_box(self):
         problem = benchmark("p1").problem
-        np.testing.assert_array_equal(clamp(np.array([9.0, 3.0]), problem), [7.0, 3.0])
+        np.testing.assert_array_equal(clamp(np.array([9.0, 3.0]), *box(problem)), [7.0, 3.0])
 
     def test_inside_unchanged(self):
         problem = benchmark("p1").problem
-        np.testing.assert_array_equal(clamp(np.array([2.0, 2.0]), problem), [2.0, 2.0])
+        np.testing.assert_array_equal(clamp(np.array([2.0, 2.0]), *box(problem)), [2.0, 2.0])
 
     def test_both_sides(self):
         problem = box_problem((0, 0), (5, 5))
-        np.testing.assert_array_equal(clamp(np.array([-2.0, 8.0]), problem), [0.0, 5.0])
+        np.testing.assert_array_equal(clamp(np.array([-2.0, 8.0]), *box(problem)), [0.0, 5.0])
 
 
 def individual(fitness, violation=0.0):
     return Individual(np.zeros(1), Evaluation((float(fitness),), violation))
-
-
-class TestSelect:
-    def test_feasible_trial_beats_infeasible_target(self):
-        target, trial = individual(1, violation=2.0), individual(5)
-        assert select(target, trial, OBJ1) is trial
-
-    def test_tie_keeps_target(self):
-        target, trial = individual(2), individual(2)
-        assert select(target, trial, OBJ1) is target
-
-    def test_lower_violation_wins_among_infeasible(self):
-        target, trial = individual(0, violation=2.0), individual(0, violation=1.0)
-        assert select(target, trial, OBJ1) is trial
-
-    def test_better_fitness_wins_among_feasible(self):
-        target, trial = individual(5), individual(1)
-        assert select(target, trial, OBJ1) is trial
 
 
 class TestChooseBest:
@@ -268,10 +265,29 @@ class TestRun:
         def boom(*args, **kwargs):
             raise AssertionError("best-index lookup in rand1")
 
-        monkeypatch.setattr(de, "_best_of", boom)
-        monkeypatch.setattr(de, "_neighborhood_bests", boom)
+        monkeypatch.setattr(de, "_elect", boom)
         cfg = DEConfig(variant="rand1", population_size=8, max_iterations=3)
         run(problem, cfg, single_objective(0, 3), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("variant", ["rand1", "best", "degl"])
+    def test_run_composes_its_primitives(self, variant, monkeypatch):
+        calls = collections.Counter()
+
+        def spy(name):
+            original = getattr(de, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(de, name, counted)
+
+        for name in ("mutate_rand1", "mutate_best", "mutate_degl", "crossover", "clamp"):
+            spy(name)
+        cfg = DEConfig(variant=variant, **self.CFG)
+        run(benchmark("p1").problem, cfg, single_objective(0, 3), np.random.default_rng(0))
+        steps = cfg.population_size * cfg.max_iterations
+        assert calls == {f"mutate_{variant}": steps, "crossover": steps, "clamp": steps}
 
     @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
     def test_elitism_monotone_over_generations(self, name):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import moits.de as de
+from moits.de import Individual, choose_best, single_objective
 from moits.problems import Evaluation
 from moits.topsis import (
     BENEFIT,
@@ -55,15 +57,15 @@ class TestBuildMatrix:
 
 class TestNormalize:
     def test_divide_by_column_max(self):
-        out = normalize(cost_matrix([[2.0], [4.0]]))
+        out = normalize(np.array([[2.0], [4.0]]))
         assert out[:, 0].tolist() == [0.5, 1.0]
 
     def test_zero_column_stays_zero(self):
-        out = normalize(cost_matrix([[0.0], [0.0]]))
+        out = normalize(np.array([[0.0], [0.0]]))
         assert out[:, 0].tolist() == [0.0, 0.0]
 
     def test_negative_column_uses_max_abs(self):
-        out = normalize(cost_matrix([[-28.0], [-22.0]]))
+        out = normalize(np.array([[-28.0], [-22.0]]))
         np.testing.assert_allclose(out[:, 0], [-1.0, -22.0 / 28.0])
 
 
@@ -174,3 +176,27 @@ class TestProperties:
             lean = cost_closeness(entries.copy())
             full = rank(cost_matrix(entries)).closeness
             np.testing.assert_allclose(lean, full)
+            assert np.array_equal(lean, full)
+
+    def test_cost_closeness_batches_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            stack = rng.standard_normal((4, 6, int(rng.integers(1, 5)))) * 4
+            stack[rng.random(stack.shape) < 0.3] = 0.0
+            stack[1] = stack[0]
+            batched = cost_closeness(stack)
+            assert np.array_equal(batched, [cost_closeness(m) for m in stack])
+
+    def test_row_election_matches_choose_best(self):
+        rng = np.random.default_rng(7)
+        objective = single_objective(0, 1)
+        for _ in range(50):
+            violation = np.where(rng.random(10) < 0.5, 0.0, rng.random(10))
+            pop = [
+                Individual(np.zeros(1), Evaluation((float(f),), float(v)))
+                for f, v in zip(rng.integers(-3, 4, 10), violation)
+            ]
+            rows = np.array([rng.permutation(10)[:5] for _ in range(10)])
+            fit = np.array([objective.fitness(ind.eval) for ind in pop])
+            elected = de._elect(fit, violation, rows)
+            assert elected.tolist() == [choose_best(pop, row, objective) for row in rows]
