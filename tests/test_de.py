@@ -206,6 +206,27 @@ def individual(fitness, violation=0.0):
     return Individual(np.zeros(1), Evaluation((float(fitness),), violation))
 
 
+def replaces(target, trial, objective=OBJ1):
+    """The survivor rule of ``run``: the trial replaces the target iff its
+    ``deb_key`` is strictly smaller."""
+    key = lambda ind: deb_key(objective.fitness(ind.eval), ind.eval.violation)
+    return key(trial) < key(target)
+
+
+class TestSelect:
+    def test_feasible_trial_beats_infeasible_target(self):
+        assert replaces(individual(1, violation=2.0), individual(5))
+
+    def test_tie_keeps_target(self):
+        assert not replaces(individual(2), individual(2))
+
+    def test_lower_violation_wins_among_infeasible(self):
+        assert replaces(individual(0, violation=2.0), individual(0, violation=1.0))
+
+    def test_better_fitness_wins_among_feasible(self):
+        assert replaces(individual(5), individual(1))
+
+
 class TestChooseBest:
     def test_single_candidate(self):
         pop = make_pop([(3,)])
