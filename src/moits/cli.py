@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_variant=True):
         p.add_argument("--problem", required=True, choices=BENCHMARK_NAMES)
         if with_variant:
-            p.add_argument("--variant", default="rand1", choices=VARIANTS)
+            # None lets --config, then DEConfig's default, choose the variant
+            p.add_argument("--variant", default=None, choices=VARIANTS)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--config", default=None, help="JSON file overriding defaults")
         p.add_argument("--oracle-anchors", action="store_true")
@@ -155,7 +156,7 @@ def _cmd_experiment(args) -> int:
     spec = benchmark(args.problem)
     config = _config_from_args(args)
     report = harness.run_experiment(
-        spec, args.variant, config, args.seed, workers=args.workers
+        spec, config.de.variant, config, args.seed, workers=args.workers
     )
     if args.out:
         harness.emit(report, args.format, args.out)

@@ -13,6 +13,19 @@ neighborhoods of a generation in one batched election.
 are elected once at the start of each generation and passed in, so
 replacements made during the generation do not move them.
 
+Inside :func:`run` the population is a list of Python float lists, and the
+primitives take and return float lists: for the handful of variables of a
+member, numpy's per-call overhead costs more than the arithmetic. Each
+formula keeps numpy's operation order, and :func:`clamp` resolves ties as
+``np.clip`` does, so the floats are the ones numpy computed. The primitives
+take a ``draw`` callable returning one uniform in [0, 1) (``rng.random``
+works). :func:`run` hands out uniforms from blocks of ``BLOCK`` drawn with
+one ``rng.random(BLOCK)`` call each and at the end rewinds the generator to
+just after the last uniform used, so results and the generator's final
+state are those of one scalar ``rng.random()`` per draw. ``Individual.x``
+is an ndarray at the boundary of :func:`run`; the TOPSIS elections run in
+numpy on the fitness and violation columns.
+
 The engine optimizes one scalarized fitness at a time; a
 :class:`ScalarObjective` maps a cached evaluation to that scalar, which lets
 the same engine serve every stage of the compromise pipeline.
@@ -20,6 +33,8 @@ the same engine serve every stage of the compromise pipeline.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,6 +62,9 @@ __all__ = [
 ]
 
 VARIANTS = ("rand1", "best", "degl")
+
+# uniforms per block of run's draws (see _block_draws)
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -117,52 +135,57 @@ def init_population(problem: Problem, config: DEConfig, rng: np.random.Generator
     return [Individual(x, evaluate(problem, x.tolist())) for x in xs]
 
 
-def _draw_distinct(rng: np.random.Generator, pool: Sequence[int], exclude, count: int):
+def _draw_distinct(draw, pool: Sequence[int], exclude, count: int):
     """Rejection-sample ``count`` distinct indices from ``pool``, avoiding ``exclude``."""
-    taken = set(exclude)
     out = []
     size = len(pool)
     while len(out) < count:
-        candidate = pool[int(rng.random() * size)]
-        if candidate not in taken:
-            taken.add(candidate)
+        candidate = pool[int(draw() * size)]
+        if candidate not in exclude and candidate not in out:
             out.append(candidate)
     return out
 
 
-def mutate_rand1(pop, i: int, F: float, rng: np.random.Generator) -> np.ndarray:
-    r1, r2, r3 = _draw_distinct(rng, range(len(pop)), (i,), 3)
-    return pop[r1].x + F * (pop[r2].x - pop[r3].x)
+def mutate_rand1(xs, i: int, F: float, draw) -> list[float]:
+    r1, r2, r3 = _draw_distinct(draw, range(len(xs)), (i,), 3)
+    return [a + F * (b - c) for a, b, c in zip(xs[r1], xs[r2], xs[r3])]
 
 
-def mutate_best(pop, i, F, gbest_index, rng, canonical: bool = False) -> np.ndarray:
+def mutate_best(xs, i, F, gbest_index, draw, canonical: bool = False) -> list[float]:
     """Best-guided mutation. The default places the best individual inside the
     difference term; ``canonical`` uses it as the base vector instead."""
-    r1, r2 = _draw_distinct(rng, range(len(pop)), (i,), 2)
+    r1, r2 = _draw_distinct(draw, range(len(xs)), (i,), 2)
     if canonical:
-        return pop[gbest_index].x + F * (pop[r1].x - pop[r2].x)
-    return pop[r1].x + F * (pop[r2].x - pop[gbest_index].x)
+        a, b, c = xs[gbest_index], xs[r1], xs[r2]
+    else:
+        a, b, c = xs[r1], xs[r2], xs[gbest_index]
+    return [u + F * (v - w) for u, v, w in zip(a, b, c)]
 
 
 def _neighborhood(i: int, k: int, size: int):
     return [(i + off) % size for off in range(-k, k + 1)]
 
 
-def local_global_donors(pop, i, alpha, beta, neigh, local_best, gbest_index, rng):
+def _pulled(xi, toward, p, q, alpha, beta):
+    """``xi + alpha*(toward - xi) + beta*(p - q)``, in numpy's operation order."""
+    return [a + alpha * (t - a) + beta * (u - v) for a, t, u, v in zip(xi, toward, p, q)]
+
+
+def local_global_donors(xs, i, alpha, beta, neigh, local_best, gbest_index, draw):
     """Local donor from the ring neighborhood ``neigh`` of member ``i``, pulled
     toward its best member ``local_best``, and global donor from the whole
     population, pulled toward ``gbest_index``."""
-    p, q = _draw_distinct(rng, neigh, (i,), 2)
-    xi = pop[i].x
-    local = xi + alpha * (pop[local_best].x - xi) + beta * (pop[p].x - pop[q].x)
-    p2, q2 = _draw_distinct(rng, range(len(pop)), (i,), 2)
-    glob = xi + alpha * (pop[gbest_index].x - xi) + beta * (pop[p2].x - pop[q2].x)
+    p, q = _draw_distinct(draw, neigh, (i,), 2)
+    local = _pulled(xs[i], xs[local_best], xs[p], xs[q], alpha, beta)
+    p2, q2 = _draw_distinct(draw, range(len(xs)), (i,), 2)
+    glob = _pulled(xs[i], xs[gbest_index], xs[p2], xs[q2], alpha, beta)
     return local, glob
 
 
-def mutate_degl(pop, i, alpha, beta, r, neigh, local_best, gbest_index, rng):
-    local, glob = local_global_donors(pop, i, alpha, beta, neigh, local_best, gbest_index, rng)
-    return r * glob + (1.0 - r) * local
+def mutate_degl(xs, i, alpha, beta, r, neigh, local_best, gbest_index, draw):
+    local, glob = local_global_donors(xs, i, alpha, beta, neigh, local_best, gbest_index, draw)
+    s = 1.0 - r
+    return [r * g + s * l for g, l in zip(glob, local)]
 
 
 def weight_r(iteration: int, max_iterations: int) -> float:
@@ -170,17 +193,44 @@ def weight_r(iteration: int, max_iterations: int) -> float:
     return iteration / max_iterations
 
 
-def crossover(target: np.ndarray, donor: np.ndarray, Cr: float, rng: np.random.Generator):
+def crossover(target, donor, Cr: float, draw) -> list[float]:
     """Binomial recombination; one forced donor component per trial."""
-    n = len(target)
-    mask = rng.random(n) <= Cr
-    mask[int(rng.random() * n)] = True
-    return np.where(mask, donor, target)
+    trial = [d if draw() <= Cr else t for t, d in zip(target, donor)]
+    forced = int(draw() * len(target))
+    trial[forced] = donor[forced]
+    return trial
 
 
-def clamp(trial: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Clip ``trial`` into the box [lo, up] in place and return it."""
-    return np.clip(trial, lo, up, out=trial)
+def clamp(trial, lo, up) -> list[float]:
+    """Clip ``trial`` into the box [lo, up] as ``np.clip`` does: the larger of
+    the value and ``lo`` (the value only if strictly larger), then the smaller
+    of that and ``up`` (likewise), so signed zeros resolve the same way."""
+    raised = [v if v > lower else lower for v, lower in zip(trial, lo)]
+    return [v if v < upper else upper for v, upper in zip(raised, up)]
+
+
+def _block_draws(rng: np.random.Generator, size: int):
+    """A ``draw`` callable handing out the uniforms of ``rng`` one at a time,
+    from blocks of ``size`` drawn with one ``rng.random(size)`` call each when
+    the previous block runs out, and a ``settle`` callable that rewinds ``rng``
+    to just after the last uniform handed out, where one scalar
+    ``rng.random()`` per draw leaves it."""
+    last = [None, iter(())]  # the state before the latest block, its iterator
+
+    def blocks():
+        while True:
+            last[0] = rng.bit_generator.state
+            last[1] = iter(rng.random(size).tolist())
+            yield last[1]
+
+    def settle() -> None:
+        left = operator.length_hint(last[1])
+        if left:
+            rng.bit_generator.state = last[0]
+            rng.random(size - left)
+
+    # chain's C loop steps through a block; Python runs only per refill
+    return itertools.chain.from_iterable(blocks()).__next__, settle
 
 
 def _elect(fit: np.ndarray, vio: np.ndarray, idx: np.ndarray):
@@ -194,13 +244,6 @@ def _elect(fit: np.ndarray, vio: np.ndarray, idx: np.ndarray):
     return idx[best] if idx.ndim == 1 else idx[np.arange(len(idx)), best]
 
 
-def _channels(pop, objective: ScalarObjective):
-    """Fitness and violation arrays of a population."""
-    fit = np.array([objective.fitness(ind.eval) for ind in pop])
-    vio = np.array([ind.eval.violation for ind in pop])
-    return fit, vio
-
-
 def choose_best(pop, indices, objective: ScalarObjective) -> int:
     """TOPSIS over the (fitness, violation) pairs of the given members, both
     criteria cost with uniform weights; returns the population index with the
@@ -208,7 +251,9 @@ def choose_best(pop, indices, objective: ScalarObjective) -> int:
     idx = np.fromiter(indices, dtype=np.intp)
     if not len(idx):
         raise ValueError("cannot choose the best of an empty index set")
-    return int(_elect(*_channels(pop, objective), idx))
+    fit = np.array([objective.fitness(ind.eval) for ind in pop])
+    vio = np.array([ind.eval.violation for ind in pop])
+    return int(_elect(fit, vio, idx))
 
 
 def run(problem, config: DEConfig, objective, rng, initial=None):
@@ -219,38 +264,43 @@ def run(problem, config: DEConfig, objective, rng, initial=None):
     """
     pop = list(initial) if initial is not None else init_population(problem, config, rng)
     np_size = len(pop)
-    fit, vio = _channels(pop, objective)
-    lo = np.asarray(problem.lower_bounds, dtype=float)
-    up = np.asarray(problem.upper_bounds, dtype=float)
+    xs = [ind.x.tolist() for ind in pop]
+    evals = [ind.eval for ind in pop]
+    fit = [objective.fitness(ev) for ev in evals]
+    vio = [ev.violation for ev in evals]
+    lo = [float(v) for v in problem.lower_bounds]
+    up = [float(v) for v in problem.upper_bounds]
     indices = np.arange(np_size)
     F, Cr, variant = config.scale_factor, config.crossover_rate, config.variant
     if variant == "degl":
-        neigh_rows = np.array(
-            [_neighborhood(i, config.neighborhood_k, np_size) for i in range(np_size)]
-        )
-    for iteration in range(1, config.max_iterations + 1):
-        r = weight_r(iteration, config.max_iterations)
-        # best indices are frozen at generation start (slot updates within the
-        # generation do not re-elect them)
-        if variant != "rand1":
-            gbest = _elect(fit, vio, indices)
-        if variant == "degl":
-            local_bests = _elect(fit, vio, neigh_rows)
-        for i in range(np_size):
-            if variant == "rand1":
-                donor = mutate_rand1(pop, i, F, rng)
-            elif variant == "best":
-                donor = mutate_best(pop, i, F, gbest, rng, config.canonical_best)
-            else:
-                donor = mutate_degl(
-                    pop, i, config.alpha, config.beta, r,
-                    neigh_rows[i], local_bests[i], gbest, rng,
-                )
-            trial = clamp(crossover(pop[i].x, donor, Cr, rng), lo, up)
-            ev = evaluate(problem, trial.tolist())
-            f_trial = objective.fitness(ev)
-            if deb_key(f_trial, ev.violation) < deb_key(fit[i], vio[i]):
-                pop[i] = Individual(trial, ev)
-                fit[i] = f_trial
-                vio[i] = ev.violation
-    return pop
+        neigh_lists = [_neighborhood(i, config.neighborhood_k, np_size) for i in range(np_size)]
+        neigh_rows = np.array(neigh_lists)
+    draw, settle = _block_draws(rng, BLOCK)
+    try:
+        for iteration in range(1, config.max_iterations + 1):
+            r = weight_r(iteration, config.max_iterations)
+            # best indices are frozen at generation start (slot updates within
+            # the generation do not re-elect them)
+            if variant != "rand1":
+                fit_a, vio_a = np.array(fit), np.array(vio)
+                gbest = int(_elect(fit_a, vio_a, indices))
+            if variant == "degl":
+                local_bests = _elect(fit_a, vio_a, neigh_rows).tolist()
+            for i in range(np_size):
+                if variant == "rand1":
+                    donor = mutate_rand1(xs, i, F, draw)
+                elif variant == "best":
+                    donor = mutate_best(xs, i, F, gbest, draw, config.canonical_best)
+                else:
+                    donor = mutate_degl(
+                        xs, i, config.alpha, config.beta, r,
+                        neigh_lists[i], local_bests[i], gbest, draw,
+                    )
+                trial = clamp(crossover(xs[i], donor, Cr, draw), lo, up)
+                ev = evaluate(problem, trial)
+                f_trial = objective.fitness(ev)
+                if deb_key(f_trial, ev.violation) < deb_key(fit[i], vio[i]):
+                    xs[i], evals[i], fit[i], vio[i] = trial, ev, f_trial, ev.violation
+    finally:
+        settle()
+    return [Individual(np.array(x), ev) for x, ev in zip(xs, evals)]

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -103,6 +104,13 @@ def run_experiment(
     if workers is None:
         workers = min(os.cpu_count() or 1, config.runs)
     if workers > 1:
+        try:
+            pickle.dumps(spec)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(
+                f"problem {spec.problem.name!r} cannot be sent to worker processes "
+                f"({exc}); run it with workers=1"
+            ) from exc
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_run, jobs))
     else:

@@ -128,19 +128,26 @@ def pareto_filter(points):
 
     ``points`` is a list of ``(vector, Evaluation)`` pairs; duplicate vectors
     collapse to the first occurrence. Infeasible points (``G > 0``) are
-    discarded before dominance testing.
+    discarded before dominance testing. The survivors come back in the order
+    of their first occurrence. Objective values must not be NaN, which
+    :func:`evaluate` guarantees.
+
+    A point's dominators precede it in lexicographic order of the objective
+    vectors, and a dominated point's dominator is itself kept or dominated by
+    a kept point, so one sorted pass tests each point against the kept front
+    only.
     """
     seen = {}
     for vec, ev in points:
         key = tuple(vec)
         if ev.violation == 0.0 and key not in seen:
             seen[key] = ev
-    items = list(seen.items())
-    kept = []
-    for key, ev in items:
-        if not any(dominates(other, ev) for _, other in items if other is not ev):
-            kept.append((key, ev))
-    return kept
+    front, kept = [], set()
+    for key, ev in sorted(seen.items(), key=lambda item: item[1].objectives_min):
+        if not any(dominates(other, ev) for other in front):
+            front.append(ev)
+            kept.add(key)
+    return [(key, ev) for key, ev in seen.items() if key in kept]
 
 
 def feasible_lattice(problem: Problem):

@@ -216,11 +216,11 @@ class TestCriterion3DE:
                 alpha=0.8, beta=0.8, neigh=neigh, gbest_index=0,
                 local_best=choose_best(pop, neigh, objective),
             )
-            local, glob = de_mod.local_global_donors(
-                pop, i, rng=np.random.default_rng(i), **kwargs
-            )
-            at_zero = de_mod.mutate_degl(pop, i, r=0.0, rng=np.random.default_rng(i), **kwargs)
-            at_one = de_mod.mutate_degl(pop, i, r=1.0, rng=np.random.default_rng(i), **kwargs)
+            xs = [ind.x.tolist() for ind in pop]
+            draws = lambda: np.random.default_rng(i).random
+            local, glob = de_mod.local_global_donors(xs, i, draw=draws(), **kwargs)
+            at_zero = de_mod.mutate_degl(xs, i, r=0.0, draw=draws(), **kwargs)
+            at_one = de_mod.mutate_degl(xs, i, r=1.0, draw=draws(), **kwargs)
             assert np.array_equal(at_zero, local)
             assert np.array_equal(at_one, glob)
 

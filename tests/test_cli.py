@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from moits import pipeline
 from moits.cli import load_config, main
 from moits.pipeline import HybridConfig
 
@@ -46,6 +47,25 @@ class TestLoadConfig:
         path.write_text('{"populaton_size": 20}')
         with pytest.raises(ValueError, match="populaton_size"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_config_variant_not_overridden_by_flag_default(
+        self, command, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**FAST, "runs": 1, "variant": "degl"}))
+        variants = []
+
+        def spy(problem, config, rng, run_id=0):
+            variants.append(config.de.variant)
+            return original(problem, config, rng, run_id)
+
+        original = pipeline.solve
+        monkeypatch.setattr(pipeline, "solve", spy)
+        out = tmp_path / "out.csv"
+        argv = [command, "--problem", "p3", "--config", str(path), "--out", str(out)]
+        assert main(argv + (["--workers", "1"] if command == "experiment" else [])) == 0
+        assert variants == ["degl"]
 
     def test_int_accepted_for_float_field(self, tmp_path):
         path = tmp_path / "config.json"

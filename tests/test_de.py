@@ -1,7 +1,9 @@
 import collections
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import moits.de as de
 from moits.benchmarks import benchmark
@@ -21,6 +23,7 @@ from moits.de import (
     weight_r,
 )
 from moits.problems import Evaluation, Problem, deb_key, evaluate, feasible_lattice
+from moits.topsis import cost_closeness
 
 
 def box_problem(lower, upper):
@@ -41,6 +44,11 @@ def make_pop(xs, problem=None):
 OBJ1 = single_objective(0, 1)
 
 
+def rows(pop):
+    """The population's points as the float lists the primitives take."""
+    return [ind.x.tolist() for ind in pop]
+
+
 def ring(pop, i, k, objective=OBJ1):
     """The ring neighborhood of member ``i`` and its elected best, as DEGL
     keyword arguments."""
@@ -49,10 +57,7 @@ def ring(pop, i, k, objective=OBJ1):
 
 
 def box(problem):
-    return (
-        np.asarray(problem.lower_bounds, dtype=float),
-        np.asarray(problem.upper_bounds, dtype=float),
-    )
+    return [float(v) for v in problem.lower_bounds], [float(v) for v in problem.upper_bounds]
 
 
 class TestConfig:
@@ -107,39 +112,41 @@ class TestInit:
 class TestMutation:
     def test_rand1_arithmetic(self, monkeypatch):
         pop = make_pop([(1, 1), (3, 3), (1, 1), (9, 9)])
-        monkeypatch.setattr(de, "_draw_distinct", lambda rng, pool, excl, n: [0, 1, 2])
-        donor = mutate_rand1(pop, 3, 0.8, None)
+        monkeypatch.setattr(de, "_draw_distinct", lambda draw, pool, excl, n: [0, 1, 2])
+        donor = mutate_rand1(rows(pop), 3, 0.8, None)
         np.testing.assert_allclose(donor, [2.6, 2.6])
 
     def test_rand1_zero_difference(self, monkeypatch):
         pop = make_pop([(1, 2), (5, 5), (5, 5), (0, 0)])
-        monkeypatch.setattr(de, "_draw_distinct", lambda rng, pool, excl, n: [0, 1, 2])
-        np.testing.assert_allclose(mutate_rand1(pop, 3, 0.8, None), [1.0, 2.0])
+        monkeypatch.setattr(de, "_draw_distinct", lambda draw, pool, excl, n: [0, 1, 2])
+        np.testing.assert_allclose(mutate_rand1(rows(pop), 3, 0.8, None), [1.0, 2.0])
 
     def test_rand1_f_zero_returns_population_member(self):
         pop = make_pop([(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)])
         rng = np.random.default_rng(0)
-        donor = mutate_rand1(pop, 0, 0.0, rng)
+        donor = mutate_rand1(rows(pop), 0, 0.0, rng.random)
         assert any(np.array_equal(donor, ind.x) for ind in pop[1:])
 
     def test_best_places_best_in_difference_term(self, monkeypatch):
         pop = make_pop([(0, 0), (1, 1), (7, 7), (2, 2)])
-        monkeypatch.setattr(de, "_draw_distinct", lambda rng, pool, excl, n: [0, 1])
-        donor = mutate_best(pop, 3, 0.8, gbest_index=1, rng=None)
+        monkeypatch.setattr(de, "_draw_distinct", lambda draw, pool, excl, n: [0, 1])
+        donor = mutate_best(rows(pop), 3, 0.8, gbest_index=1, draw=None)
         np.testing.assert_allclose(donor, [0.0, 0.0])
 
     def test_best_canonical_form(self, monkeypatch):
         pop = make_pop([(0, 0), (4, 4), (7, 7), (2, 2)])
-        monkeypatch.setattr(de, "_draw_distinct", lambda rng, pool, excl, n: [0, 1])
-        donor = mutate_best(pop, 3, 0.5, gbest_index=2, rng=None, canonical=True)
+        monkeypatch.setattr(de, "_draw_distinct", lambda draw, pool, excl, n: [0, 1])
+        donor = mutate_best(rows(pop), 3, 0.5, gbest_index=2, draw=None, canonical=True)
         np.testing.assert_allclose(donor, [5.0, 5.0])
 
     def test_degl_endpoints_exact(self):
         pop = make_pop([(i, 2 * i) for i in range(6)])
         kwargs = dict(alpha=0.8, beta=0.8, gbest_index=0, **ring(pop, 2, 2))
-        local, glob = local_global_donors(pop, 2, rng=np.random.default_rng(7), **kwargs)
-        v0 = mutate_degl(pop, 2, r=0.0, rng=np.random.default_rng(7), **kwargs)
-        v1 = mutate_degl(pop, 2, r=1.0, rng=np.random.default_rng(7), **kwargs)
+        local, glob = local_global_donors(
+            rows(pop), 2, draw=np.random.default_rng(7).random, **kwargs
+        )
+        v0 = mutate_degl(rows(pop), 2, r=0.0, draw=np.random.default_rng(7).random, **kwargs)
+        v1 = mutate_degl(rows(pop), 2, r=1.0, draw=np.random.default_rng(7).random, **kwargs)
         assert np.array_equal(v0, local)
         assert np.array_equal(v1, glob)
 
@@ -147,8 +154,8 @@ class TestMutation:
         pop = make_pop([(3, 4)] * 6)
         for r in (0.0, 0.3, 1.0):
             donor = mutate_degl(
-                pop, 1, alpha=0.8, beta=0.8, r=r, **ring(pop, 1, 2),
-                rng=np.random.default_rng(0), gbest_index=0,
+                rows(pop), 1, alpha=0.8, beta=0.8, r=r, **ring(pop, 1, 2),
+                draw=np.random.default_rng(0).random, gbest_index=0,
             )
             np.testing.assert_allclose(donor, [3.0, 4.0])
 
@@ -156,7 +163,7 @@ class TestMutation:
         pop = make_pop([(i,) for i in range(5)])
         rng = np.random.default_rng(1)
         for _ in range(50):
-            picks = de._draw_distinct(rng, range(5), (2,), 3)
+            picks = de._draw_distinct(rng.random, range(5), (2,), 3)
             assert 2 not in picks and len(set(picks)) == 3
 
 
@@ -172,34 +179,39 @@ class TestCrossover:
     def test_cr_one_copies_donor(self):
         rng = np.random.default_rng(0)
         target, donor = np.zeros(6), np.arange(6.0)
-        np.testing.assert_array_equal(crossover(target, donor, 1.0, rng), donor)
+        np.testing.assert_array_equal(
+            crossover(target.tolist(), donor.tolist(), 1.0, rng.random), donor
+        )
 
     def test_cr_zero_forces_single_component(self):
         rng = np.random.default_rng(0)
         target, donor = np.zeros(6), np.ones(6)
         for _ in range(20):
-            trial = crossover(target, donor, 0.0, rng)
+            trial = np.array(crossover(target.tolist(), donor.tolist(), 0.0, rng.random))
             changed = np.flatnonzero(trial != target)
             assert len(changed) == 1 and trial[changed[0]] == 1.0
+
+    def test_draw_equal_to_rate_takes_donor(self):
+        assert crossover([0.0, 0.0], [1.0, 1.0], 0.5, lambda: 0.5) == [1.0, 1.0]
 
     def test_equal_vectors_unchanged(self):
         rng = np.random.default_rng(0)
         x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(crossover(x, x.copy(), 0.5, rng), x)
+        np.testing.assert_array_equal(crossover(x.tolist(), x.tolist(), 0.5, rng.random), x)
 
 
 class TestClamp:
     def test_clips_to_box(self):
         problem = benchmark("p1").problem
-        np.testing.assert_array_equal(clamp(np.array([9.0, 3.0]), *box(problem)), [7.0, 3.0])
+        np.testing.assert_array_equal(clamp([9.0, 3.0], *box(problem)), [7.0, 3.0])
 
     def test_inside_unchanged(self):
         problem = benchmark("p1").problem
-        np.testing.assert_array_equal(clamp(np.array([2.0, 2.0]), *box(problem)), [2.0, 2.0])
+        np.testing.assert_array_equal(clamp([2.0, 2.0], *box(problem)), [2.0, 2.0])
 
     def test_both_sides(self):
         problem = box_problem((0, 0), (5, 5))
-        np.testing.assert_array_equal(clamp(np.array([-2.0, 8.0]), *box(problem)), [0.0, 5.0])
+        np.testing.assert_array_equal(clamp([-2.0, 8.0], *box(problem)), [0.0, 5.0])
 
 
 def individual(fitness, violation=0.0):
@@ -354,3 +366,196 @@ class TestRun:
         pop = run(problem, DEConfig(variant="degl"), obj, np.random.default_rng(3))
         best = pop[choose_best(pop, range(len(pop)), obj)]
         assert best.eval.objectives_min[0] <= lattice_best
+
+
+# The parent numpy engine, kept as the reference of TestKernelMatchesReference:
+# numpy arrays per member and one rng call per draw.
+def _reference_draw_distinct(rng, pool, exclude, count):
+    taken = set(exclude)
+    out = []
+    size = len(pool)
+    while len(out) < count:
+        candidate = pool[int(rng.random() * size)]
+        if candidate not in taken:
+            taken.add(candidate)
+            out.append(candidate)
+    return out
+
+
+def _reference_mutate_rand1(pop, i, F, rng):
+    r1, r2, r3 = _reference_draw_distinct(rng, range(len(pop)), (i,), 3)
+    return pop[r1].x + F * (pop[r2].x - pop[r3].x)
+
+
+def _reference_mutate_best(pop, i, F, gbest_index, rng, canonical=False):
+    r1, r2 = _reference_draw_distinct(rng, range(len(pop)), (i,), 2)
+    if canonical:
+        return pop[gbest_index].x + F * (pop[r1].x - pop[r2].x)
+    return pop[r1].x + F * (pop[r2].x - pop[gbest_index].x)
+
+
+def _reference_local_global_donors(pop, i, alpha, beta, neigh, local_best, gbest_index, rng):
+    p, q = _reference_draw_distinct(rng, neigh, (i,), 2)
+    xi = pop[i].x
+    local = xi + alpha * (pop[local_best].x - xi) + beta * (pop[p].x - pop[q].x)
+    p2, q2 = _reference_draw_distinct(rng, range(len(pop)), (i,), 2)
+    glob = xi + alpha * (pop[gbest_index].x - xi) + beta * (pop[p2].x - pop[q2].x)
+    return local, glob
+
+
+def _reference_mutate_degl(pop, i, alpha, beta, r, neigh, local_best, gbest_index, rng):
+    local, glob = _reference_local_global_donors(
+        pop, i, alpha, beta, neigh, local_best, gbest_index, rng
+    )
+    return r * glob + (1.0 - r) * local
+
+
+def _reference_crossover(target, donor, Cr, rng):
+    n = len(target)
+    mask = rng.random(n) <= Cr
+    mask[int(rng.random() * n)] = True
+    return np.where(mask, donor, target)
+
+
+def _reference_clamp(trial, lo, up):
+    return np.clip(trial, lo, up, out=trial)
+
+
+def _reference_elect(fit, vio, idx):
+    entries = np.empty(idx.shape + (2,))
+    entries[..., 0] = fit[idx]
+    entries[..., 1] = vio[idx]
+    best = cost_closeness(entries).argmax(axis=-1)
+    return idx[best] if idx.ndim == 1 else idx[np.arange(len(idx)), best]
+
+
+def _reference_run(problem, config, objective, rng, initial=None):
+    pop = list(initial) if initial is not None else init_population(problem, config, rng)
+    np_size = len(pop)
+    fit = np.array([objective.fitness(ind.eval) for ind in pop])
+    vio = np.array([ind.eval.violation for ind in pop])
+    lo = np.asarray(problem.lower_bounds, dtype=float)
+    up = np.asarray(problem.upper_bounds, dtype=float)
+    indices = np.arange(np_size)
+    F, Cr, variant = config.scale_factor, config.crossover_rate, config.variant
+    if variant == "degl":
+        neigh_rows = np.array(
+            [de._neighborhood(i, config.neighborhood_k, np_size) for i in range(np_size)]
+        )
+    for iteration in range(1, config.max_iterations + 1):
+        r = weight_r(iteration, config.max_iterations)
+        if variant != "rand1":
+            gbest = _reference_elect(fit, vio, indices)
+        if variant == "degl":
+            local_bests = _reference_elect(fit, vio, neigh_rows)
+        for i in range(np_size):
+            if variant == "rand1":
+                donor = _reference_mutate_rand1(pop, i, F, rng)
+            elif variant == "best":
+                donor = _reference_mutate_best(pop, i, F, gbest, rng, config.canonical_best)
+            else:
+                donor = _reference_mutate_degl(
+                    pop, i, config.alpha, config.beta, r,
+                    neigh_rows[i], local_bests[i], gbest, rng,
+                )
+            trial = _reference_clamp(_reference_crossover(pop[i].x, donor, Cr, rng), lo, up)
+            ev = evaluate(problem, trial.tolist())
+            f_trial = objective.fitness(ev)
+            if deb_key(f_trial, ev.violation) < deb_key(fit[i], vio[i]):
+                pop[i] = Individual(trial, ev)
+                fit[i] = f_trial
+                vio[i] = ev.violation
+    return pop
+
+
+class _LoggedProblem:
+    """A constrained problem over a box that records every point it evaluates."""
+
+    def __init__(self, lower, upper, center):
+        self.log = []
+        self.center = center
+        self.problem = Problem(
+            dimension=len(lower),
+            objectives=((self.distance, "min"), (lambda x: -sum(x), "min")),
+            constraints=(lambda x: sum(x) - sum(center) - 0.5,),
+            lower_bounds=tuple(lower),
+            upper_bounds=tuple(upper),
+        )
+
+    def distance(self, x):
+        self.log.append(tuple(x))
+        return sum((v - c) ** 2 for v, c in zip(x, self.center))
+
+
+@st.composite
+def de_cases(draw):
+    n = draw(st.integers(1, 6))
+    lower = draw(st.lists(st.integers(-6, 4), min_size=n, max_size=n))
+    upper = [lo + draw(st.integers(0, 5)) for lo in lower]
+    center = [draw(st.floats(lo - 1, up + 1)) for lo, up in zip(lower, upper)]
+    k = draw(st.integers(1, 3))
+    config = DEConfig(
+        population_size=draw(st.integers(max(4, 2 * k + 1), 24)),
+        max_iterations=draw(st.integers(1, 6)),
+        crossover_rate=draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])),
+        scale_factor=draw(st.sampled_from([0.4, 0.8, 1.0])),
+        alpha=draw(st.sampled_from([0.0, 0.8])),
+        beta=draw(st.sampled_from([0.5, 0.8])),
+        neighborhood_k=k,
+        variant=draw(st.sampled_from(["rand1", "best", "degl"])),
+        canonical_best=draw(st.booleans()),
+    )
+    return lower, upper, center, config
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=de_cases(),
+        objective_index=st.sampled_from([0, 1]),
+        initial=st.booleans(),
+        block=st.sampled_from([1, 2, 7, de.BLOCK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_population_evaluations_and_generator_state(
+        self, case, objective_index, initial, block, seed
+    ):
+        lower, upper, center, config = case
+        objective = single_objective(objective_index, 2)
+        kernel, reference = _LoggedProblem(lower, upper, center), _LoggedProblem(lower, upper, center)
+        kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        kernel_start = reference_start = None
+        if initial:
+            kernel_start = init_population(kernel.problem, config, kernel_rng)
+            reference_start = init_population(reference.problem, config, reference_rng)
+        with mock.patch.object(de, "BLOCK", block):
+            pop = run(kernel.problem, config, objective, kernel_rng, initial=kernel_start)
+        expected = _reference_run(
+            reference.problem, config, objective, reference_rng, initial=reference_start
+        )
+        assert [ind.x.tobytes() for ind in pop] == [ind.x.tobytes() for ind in expected]
+        assert [ind.eval for ind in pop] == [ind.eval for ind in expected]
+        assert kernel.log == reference.log
+        assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+    @pytest.mark.parametrize("variant", ["rand1", "best", "degl"])
+    def test_benchmarks_at_default_sizes(self, name, variant):
+        problem = benchmark(name).problem
+        config = DEConfig(variant=variant, max_iterations=30)
+        objective = single_objective(0, problem.n_objectives)
+        kernel_rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
+        pop = run(problem, config, objective, kernel_rng)
+        expected = _reference_run(problem, config, objective, reference_rng)
+        assert [ind.x.tobytes() for ind in pop] == [ind.x.tobytes() for ind in expected]
+        assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestClampSignedZeros:
+    @pytest.mark.parametrize("v, lo, up", [
+        (-0.0, 0.0, 5.0), (0.0, -0.0, 5.0), (-0.0, -0.0, 0.0),
+        (0.0, -5.0, -0.0), (-0.0, -5.0, 0.0), (0.0, 0.0, 0.0),
+    ])
+    def test_matches_np_clip_bit_for_bit(self, v, lo, up):
+        expected = np.clip(np.array([v]), np.array([lo]), np.array([up]))
+        assert np.array(clamp([v], [lo], [up])).tobytes() == expected.tobytes()

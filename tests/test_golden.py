@@ -1,7 +1,10 @@
-"""Golden pins: the archives of three seeded solves, byte for byte.
+"""Golden pins: three seeded solves, byte for byte.
 
-Any change to the random streams or the order of the search (DE draws,
-stochastic rounding, the tabu walk) moves these digests. A change that alters
+Each digest covers the archive, the anchors the solve used (f*, f-, the four
+distance anchors, x_p and x_n) and the generator's next draw after the solve.
+The archive alone is often the exact front for every seed; the anchors and
+the next draw move with any change to the random streams or the order of the
+search (DE draws, stochastic rounding, the tabu walk). A change that alters
 the results on purpose re-pins them and says why.
 """
 
@@ -16,22 +19,29 @@ from moits.de import DEConfig
 from moits.pipeline import HybridConfig, solve
 
 PINS = {
-    ("p1", "degl"): "07d9dd2bf03b35f7bd63c8b0819d3e62b551bfbf9c85c49ae83961cad0bfdd6b",
-    ("p2", "rand1"): "36b9fe5692decb9792b7ddea5127417acd6b3453e3996a869875322b7404cfab",
-    ("p3", "best"): "fae44f6d73497511152036592b015645cc19f96c9ca1ef1a6e8c410066d263c2",
+    ("p1", "degl"): "721f5e0722ce036fe1729d10ae57acf07c0ab4d5521636b7be1e63b2324c6101",
+    ("p2", "rand1"): "426bde25c55cb98c0a5e5ed451cd093a557527fc07f9e4a34bb9551828150b7d",
+    ("p3", "best"): "e1f66e4127cf9b26686e768ff87b0573cb589ae2726f42ed19c57c10fd5f6462",
 }
 
+ANCHOR_FIELDS = (
+    "f_star", "f_minus", "d_pis_star", "d_nis_star", "d_pis_prime", "d_nis_prime", "x_p", "x_n"
+)
 
-def archive_digest(name: str, variant: str) -> str:
+
+def solve_digest(name: str, variant: str) -> str:
     config = HybridConfig(
         de=DEConfig(variant=variant, max_iterations=20), alternations=2, ts_iterations=1000
     )
-    archive = solve(benchmark(name).problem, config, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    archive = solve(benchmark(name).problem, config, rng)
     rows = [[list(x), list(archive.entries[x].evaluation.objectives_min)]
             for x in archive.solutions()]
-    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    anchors = [repr(getattr(archive.anchors, f)) for f in ANCHOR_FIELDS]
+    record = {"archive": rows, "anchors": anchors, "next_draw": repr(rng.random())}
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name, variant", sorted(PINS))
 def test_seeded_solve_archive_is_pinned(name, variant):
-    assert archive_digest(name, variant) == PINS[name, variant]
+    assert solve_digest(name, variant) == PINS[name, variant]

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -89,6 +90,21 @@ class TestRunExperiment:
         assert p3_report.count_of(sol) == count
         assert p3_report.rate_percent(sol) == 100.0 * count / 3
         assert p3_report.count_of((99, 99)) == 0
+
+
+class TestUnpicklableProblem:
+    def test_process_pool_refused_with_a_clear_error(self):
+        spec = benchmark("p3")
+        lambdas = replace(
+            spec,
+            problem=replace(
+                spec.problem,
+                objectives=((lambda x: x[0], "max"), (lambda x: x[1], "max")),
+                name="lambdas",
+            ),
+        )
+        with pytest.raises(ValueError, match="'lambdas'.*workers=1"):
+            run_experiment(lambdas, "rand1", SMALL, master_seed=1, workers=2)
 
 
 class TestVerifyKnown:

@@ -131,6 +131,40 @@ class TestParetoFilter:
                 assert not dominates(a, b)
 
 
+def _quadratic_pareto_filter(points):
+    """The all-pairs filter, kept as the reference of the sorted one."""
+    seen = {}
+    for vec, e in points:
+        key = tuple(vec)
+        if e.violation == 0.0 and key not in seen:
+            seen[key] = e
+    items = list(seen.items())
+    kept = []
+    for key, e in items:
+        if not any(dominates(other, e) for _, other in items if other is not e):
+            kept.append((key, e))
+    return kept
+
+
+class TestParetoFilterMatchesQuadratic:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 30),
+                st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                st.sampled_from([0.0, 0.0, 0.0, 1.5]),
+            ),
+            max_size=40,
+        ),
+        st.integers(1, 3),
+    )
+    def test_same_points_in_the_same_order(self, raw, n_objectives):
+        # few keys and few objective values: duplicate keys, tied vectors and
+        # infeasible points all occur
+        points = [((k,), ev(*f[:n_objectives], violation=g)) for k, f, g in raw]
+        assert pareto_filter(points) == _quadratic_pareto_filter(points)
+
+
 class TestBruteForce:
     def test_p3_front(self):
         front = [key for key, _ in brute_force_pareto(benchmark("p3").problem)]
