@@ -186,6 +186,8 @@ def _read_matrix(path):
 
     with open(path, encoding="utf-8") as fh:
         rows = [row for row in _csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"matrix file {path!r} is empty")
     header_senses = None
     try:
         float(rows[0][0])
@@ -196,6 +198,8 @@ def _read_matrix(path):
             _, _, sense = cell.partition(":")
             header_senses.append(sense.strip() or topsis.COST)
         rows = rows[1:]
+        if not rows:
+            raise ValueError(f"matrix file {path!r} has a header but no rows")
     entries = np.array([[float(cell) for cell in row] for row in rows])
     return entries, header_senses
 
@@ -217,7 +221,7 @@ def _cmd_rank(args) -> int:
     lines = ["alternative,closeness,rank"]
     position = {alt: pos for pos, alt in enumerate(ranking.order)}
     for i in range(entries.shape[0]):
-        lines.append(f"{i},{ranking.closeness[i]!r},{position[i]}")
+        lines.append(f"{i},{float(ranking.closeness[i])!r},{position[i]}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 

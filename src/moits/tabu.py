@@ -17,8 +17,22 @@ the product of the radices u_i - l_i + 1 of the variables after j. A +/-1
 move along variable j is then i -/+ stride_j, and index order is the
 lexicographic order of the points.
 
+Keys: each lattice point's feasibility-rule key is evaluated the first time
+the walk looks at it. :class:`CachedEvaluator` stores the keys in a list with
+one slot per lattice point when the box has fewer than ``DENSE_LIMIT`` points,
+and in a dict otherwise; both read an unfilled slot as ``None``, so the walk
+reads a key as ``keys[i] or key_at(i)``. Decoded points are memoised in a
+list too, on dense lattices only: a large lattice's walks land on many
+distinct points, so a memo there would grow with them.
+
+The kernel: one :func:`tabu_move` call runs a segment of consecutive moves,
+with the aspiration level kept current inside the call, and appends each
+landing to a path. :func:`tabu_search` calls it once per ``SEGMENT`` moves and
+takes the segment's best point from the path: the first landing with the
+least key, which is what a strict ``<`` update after every move picks.
+
 Random draws: a move takes one uniform per variable when it scans and two
-when it kicks. :func:`tabu_search` draws them in blocks of ``SEGMENT`` moves'
+when it kicks. :func:`tabu_search` draws them in blocks of one segment's
 worth, ``SEGMENT * max(n, 2)`` uniforms with one ``rng.random(m)`` call, and
 hands them to the moves in order. At the end of a segment that used fewer
 than it drew, it restores the generator state saved before the block and
@@ -30,6 +44,7 @@ state are those of one scalar call per draw.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -39,8 +54,10 @@ from .problems import Evaluation, Problem, deb_key, evaluate
 
 __all__ = ["TabuState", "CachedEvaluator", "stochastic_round", "tabu_move", "tabu_search"]
 
-# moves per block of random draws
+# moves per block of random draws, and per tabu_move call of a search
 SEGMENT = 256
+# lattices with fewer points keep keys and decoded points in dense lists
+DENSE_LIMIT = 1 << 16
 
 
 @dataclass
@@ -58,11 +75,13 @@ class CachedEvaluator:
     """Memoizes evaluations (and scalar fitness keys) of the lattice points of
     a problem's box.
 
-    Both caches are dicts keyed by the flat index of a point (see the module
-    docstring); a miss evaluates the decoded point with :func:`evaluate`. The
-    benchmark lattices are tiny compared to the tabu move budget, so the
-    search revisits points constantly; caching makes each neighbour an
-    integer addition and a dictionary lookup.
+    Both caches are keyed by the flat index of a point (see the module
+    docstring); a miss evaluates the decoded point with :func:`evaluate`.
+    Evaluations live in a dict; keys live in a list of ``None`` slots, or in
+    a dict reading a miss as ``None`` when the box has ``DENSE_LIMIT`` points
+    or more. The benchmark lattices are tiny compared to the tabu move
+    budget, so the search revisits points constantly; caching makes each
+    neighbour an integer addition and a list lookup.
     """
 
     def __init__(self, problem: Problem, objective=None):
@@ -76,7 +95,14 @@ class CachedEvaluator:
         # (variable, stride, radix) per variable, the scan's loop
         self.axes = tuple(zip(range(problem.dimension), self.strides, self.radix))
         self._evals: dict[int, Evaluation] = {}
-        self._keys: dict[int, tuple] = {}
+        size = problem.lattice_size()
+        if size < DENSE_LIMIT:
+            self._keys: list | defaultdict = [None] * size
+            self._points: list | None = [None] * size
+        else:
+            # a missing index reads as a None slot that key_at then fills;
+            # NoneType as the factory is a C call, a Python __missing__ is not
+            self._keys, self._points = defaultdict(type(None)), None
 
     def index(self, x) -> int:
         """Flat index of the lattice point ``x``; a point outside the box
@@ -90,9 +116,15 @@ class CachedEvaluator:
         return i
 
     def point(self, i: int) -> tuple[int, ...]:
-        """The lattice point of flat index ``i``."""
-        return tuple([lo + i // s % r
-                      for lo, s, r in zip(self.problem.lower_bounds, self.strides, self.radix)])
+        """The lattice point of flat index ``i``, memoised on dense lattices."""
+        points = self._points
+        x = None if points is None else points[i]
+        if x is None:
+            x = tuple([lo + i // s % r
+                       for lo, s, r in zip(self.problem.lower_bounds, self.strides, self.radix)])
+            if points is not None:
+                points[i] = x
+        return x
 
     def evaluation(self, x) -> Evaluation:
         return self.evaluation_at(self.index(x))
@@ -108,7 +140,7 @@ class CachedEvaluator:
         return ev
 
     def key_at(self, i: int):
-        k = self._keys.get(i)
+        k = self._keys[i]
         if k is None:
             ev = self.evaluation_at(i)
             k = self._keys[i] = deb_key(self.objective.fitness(ev), ev.violation)
@@ -133,46 +165,62 @@ def tabu_move(
     evaluator: CachedEvaluator,
     draw: Callable[[], float],
     literal_diversification: bool = True,
+    moves: int = 1,
+    path: list | None = None,
 ) -> int:
-    """One move from flat index ``i``, given the best index ``star`` so far:
-    either a random-coordinate diversification kick (when every variable's
-    memory is older than n iterations) or a breadth-first scan of the +/-1
-    neighbors, keeping the best admissible one.
+    """Run ``moves`` moves, numbered ``k, k + 1, ...``, from flat index ``i``,
+    given the best index ``star`` so far; returns the last landed index.
 
-    ``draw()`` returns the next uniform in [0, 1): two per kick, then one per
-    variable per scan (``rng.random`` itself will do). If no neighbor
-    qualifies, ``i`` is returned unchanged and no tenure is stamped.
+    A move is either a random-coordinate diversification kick (when every
+    variable's memory is older than n iterations) or a breadth-first scan of
+    the +/-1 neighbors, keeping the best admissible one; if no neighbor
+    qualifies, the walk stays where it is and no tenure is stamped.
+
+    With ``path``, each landed index is appended to it and a landing that
+    beats the aspiration level (first ``star``'s key) becomes the new level,
+    as if it were passed as ``star`` to the next move. ``draw()`` returns the
+    next uniform in [0, 1): two per kick, then one per variable per scan
+    (``rng.random`` itself will do). Every stamp in ``state.t`` must be at
+    most ``k``, as it is along a walk.
     """
     t = state.t
     n = len(t)
-
-    if literal_diversification and k - max(t) > n:
-        c = int(draw() * n)
-        s, r = evaluator.strides[c], evaluator.radix[c]
-        t[c] = k
-        return i + (int(draw() * r) - i // s % r) * s
-
-    keys = evaluator._keys
-    best = i
-    best_key = keys.get(i) or evaluator.key_at(i)
-    star_key = keys.get(star) or evaluator.key_at(star)
-    winner = -1
-    for j, s, r in evaluator.axes:
-        tenure = 1 + int(draw() * n)
-        c = i // s % r
-        if c > 0:
-            cand = i - s
-            cand_key = keys.get(cand) or evaluator.key_at(cand)
-            if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
-                best, best_key, winner = cand, cand_key, j
-        if c < r - 1:
-            cand = i + s
-            cand_key = keys.get(cand) or evaluator.key_at(cand)
-            if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
-                best, best_key, winner = cand, cand_key, j
-    if winner >= 0:
-        t[winner] = k
-    return best
+    keys, key_at = evaluator._keys, evaluator.key_at
+    strides, radix, axes = evaluator.strides, evaluator.radix, evaluator.axes
+    star_key = keys[star] or key_at(star)
+    last = max(t)  # stamps only grow, so the newest stamp is the largest
+    for k in range(k, k + moves):
+        if literal_diversification and k - last > n:
+            c = int(draw() * n)
+            s, r = strides[c], radix[c]
+            t[c] = last = k
+            i += (int(draw() * r) - i // s % r) * s
+        else:
+            best = i
+            best_key = keys[i] or key_at(i)
+            winner = -1
+            for j, s, r in axes:
+                tenure = 1 + int(draw() * n)
+                c = i // s % r
+                if c > 0:
+                    cand = i - s
+                    cand_key = keys[cand] or key_at(cand)
+                    if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
+                        best, best_key, winner = cand, cand_key, j
+                if c < r - 1:
+                    cand = i + s
+                    cand_key = keys[cand] or key_at(cand)
+                    if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
+                        best, best_key, winner = cand, cand_key, j
+            if winner >= 0:
+                t[winner] = last = k
+            i = best
+        if path is not None:
+            path.append(i)
+            key = keys[i] or key_at(i)
+            if key < star_key:
+                star_key = key
+    return i
 
 
 def tabu_search(
@@ -204,22 +252,21 @@ def tabu_search(
     n = evaluator.problem.dimension
     i = star = evaluator.index(tuple(int(v) for v in x0))
     trail = {i}
-    if iterations:  # the walk evaluates its start only once it moves
-        star_key = evaluator.key_at(star)
     state = TabuState.fresh(n)
     keys = evaluator._keys
+    path: list[int] = []
     for first in range(1, iterations + 1, SEGMENT):
-        end = min(first + SEGMENT, iterations + 1)
+        moves = min(SEGMENT, iterations + 1 - first)
         saved = rng.bit_generator.state
-        block = rng.random((end - first) * max(n, 2)).tolist()
+        block = rng.random(moves * max(n, 2)).tolist()
         draws = iter(block)
-        draw = draws.__next__
-        for k in range(first, end):
-            i = tabu_move(i, star, k, state, evaluator, draw, literal_diversification)
-            trail.add(i)
-            key = keys.get(i) or evaluator.key_at(i)
-            if key < star_key:
-                star, star_key = i, key
+        i = tabu_move(i, star, first, state, evaluator, draws.__next__,
+                      literal_diversification, moves, path)
+        best = min(path, key=keys.__getitem__)  # the first of the least keys
+        if keys[best] < keys[star]:
+            star = best
+        trail.update(path)
+        path.clear()
         # a list iterator's length hint is the exact count left
         used = len(block) - operator.length_hint(draws)
         if used < len(block):

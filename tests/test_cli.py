@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from moits import pipeline
+from moits import pipeline, topsis
 from moits.cli import load_config, main
 from moits.pipeline import HybridConfig
 
@@ -224,6 +225,26 @@ class TestRank:
         assert main(["rank", matrix, "--senses", "benefit,benefit",
                      "--weights", "1.0,0.0", "--out", str(out)]) == 0
         assert self.read_ranks(out)[1] == 0
+
+    def test_closeness_column_is_the_plain_float(self, tmp_path):
+        matrix = self.write_matrix(tmp_path, "5,5\n1,1\n3,3\n")
+        out = tmp_path / "rank.csv"
+        assert main(["rank", matrix, "--out", str(out)]) == 0
+        expected = topsis.rank(topsis.DecisionMatrix(
+            np.array([[5.0, 5.0], [1.0, 1.0], [3.0, 3.0]]), (topsis.COST,) * 2, np.full(2, 0.5)))
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == expected.closeness.tolist()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "is empty"),
+        ("\n\n", "is empty"),
+        ("price:cost,quality:benefit\n", "has a header but no rows"),
+    ])
+    def test_matrix_without_rows_exits_1(self, tmp_path, capsys, text, message):
+        matrix = self.write_matrix(tmp_path, text)
+        assert main(["rank", matrix]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_bad_weights_exit_1(self, tmp_path, capsys):
         matrix = self.write_matrix(tmp_path, "1,2\n3,4\n")

@@ -1,0 +1,119 @@
+"""Properties of ``de.run`` and ``solve`` on random small problems.
+
+The benchmarks p1, p2 and p3 pin these behaviours for three fixed problems;
+here hypothesis draws integer programs of 2 or 3 variables over boxes of at
+most a few hundred lattice points, with 2 or 3 quadratic or linear objectives
+of either sense and up to two linear constraints that some lattice point of
+the box meets, and runs reduced configs so that each example takes
+milliseconds.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from moits.de import VARIANTS, DEConfig, init_population, run, single_objective
+from moits.pipeline import HybridConfig, solve
+from moits.problems import Problem, deb_key, dominates, evaluate
+
+
+class Quadratic:
+    def __init__(self, center, weights):
+        self.center, self.weights = center, weights
+
+    def __call__(self, x):
+        return sum(w * (v - c) ** 2 for v, c, w in zip(x, self.center, self.weights))
+
+
+class Linear:
+    """a . x - b; as a constraint, feasible when <= 0."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __call__(self, x):
+        return sum(a * v for a, v in zip(self.a, x)) - self.b
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(2, 3))
+    lower = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    widths = draw(st.lists(st.integers(0, 12 if n == 2 else 6), min_size=n, max_size=n))
+    upper = [lo + w for lo, w in zip(lower, widths)]
+    coefficients = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+    def objective():
+        if draw(st.booleans()):
+            center = [draw(st.integers(lo - 2, up + 2)) for lo, up in zip(lower, upper)]
+            fn = Quadratic(center, draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        else:
+            fn = Linear(draw(coefficients), 0)
+        return fn, draw(st.sampled_from(["min", "max"]))
+
+    objectives = tuple(objective() for _ in range(draw(st.integers(2, 3))))
+    inside = [draw(st.integers(lo, up)) for lo, up in zip(lower, upper)]
+
+    def constraint():
+        a = draw(coefficients)
+        return Linear(a, sum(c * v for c, v in zip(a, inside)) + draw(st.integers(0, 8)))
+
+    constraints = tuple(constraint() for _ in range(draw(st.integers(0, 2))))
+    return Problem(
+        dimension=n,
+        objectives=objectives,
+        constraints=constraints,
+        lower_bounds=tuple(lower),
+        upper_bounds=tuple(upper),
+    )
+
+
+class TestRunProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        problem=small_problems(),
+        variant=st.sampled_from(VARIANTS),
+        objective_index=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_members_stay_in_box_and_no_slot_worsens(self, problem, variant, objective_index,
+                                                      seed):
+        objective = single_objective(objective_index % problem.n_objectives,
+                                     problem.n_objectives)
+        config = DEConfig(population_size=8, max_iterations=6, variant=variant)
+        rng = np.random.default_rng(seed)
+        start = init_population(problem, config, rng)
+        pop = run(problem, config, objective, rng, initial=start)
+        assert len(pop) == len(start)
+        for before, after in zip(start, pop):
+            assert problem.in_bounds(after.x)
+            assert (deb_key(objective.fitness(after.eval), after.eval.violation)
+                    <= deb_key(objective.fitness(before.eval), before.eval.violation))
+
+
+class TestSolveProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=small_problems(),
+        variant=st.sampled_from(VARIANTS),
+        oracle_anchors=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_archive_is_feasible_non_dominated_and_true_to_the_problem(
+        self, problem, variant, oracle_anchors, seed
+    ):
+        config = HybridConfig(
+            de=DEConfig(population_size=8, max_iterations=8, variant=variant),
+            ts_iterations=60,
+            alternations=2,
+            runs=1,
+            oracle_anchors=oracle_anchors,
+        )
+        archive = solve(problem, config, np.random.default_rng(seed))
+        entries = archive.entries
+        for x, entry in entries.items():
+            again = evaluate(problem, x)
+            assert again.violation == 0.0
+            assert entry.evaluation.objectives_min == again.objectives_min
+        for x, entry in entries.items():
+            assert not any(dominates(other.evaluation, entry.evaluation)
+                           for y, other in entries.items() if y != x)

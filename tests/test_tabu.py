@@ -1,3 +1,4 @@
+import operator
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from moits.benchmarks import benchmark
 from moits.de import single_objective
 from moits.problems import Evaluation, Problem, deb_key, evaluate, feasible_lattice
 from moits.tabu import (
+    DENSE_LIMIT,
     SEGMENT,
     CachedEvaluator,
     TabuState,
@@ -374,3 +376,86 @@ class TestKernelMatchesReference:
             assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
         # the same lazy misses: the kernel evaluated exactly the reference's points
         assert {kernel.point(i) for i in kernel._evals} == set(reference._evals)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tied_best_keeps_the_first_found(self, seed):
+        # the objective ignores x2, so every point of the line x1 = 2 is a best point;
+        # kicks leave the line and scans return to it elsewhere, in later segments
+        problem = Problem(
+            dimension=2,
+            objectives=((lambda x: float((x[0] - 2) ** 2), "min"),),
+            constraints=(),
+            lower_bounds=(-4, -4),
+            upper_bounds=(4, 4),
+        )
+        kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        best = tabu_search((-4, -4), 3 * SEGMENT, OBJ1, kernel_rng, problem=problem)
+        expected = _reference_tabu_search((-4, -4), 3 * SEGMENT, reference_rng,
+                                          _ReferenceEvaluator(problem, OBJ1), True, None)
+        assert best == expected
+
+
+class TestMultiMoveKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        box=boxes(),
+        moves=st.integers(1, 60),
+        literal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(box=([-3], [5], [0], 9), moves=40, literal=True, seed=1)
+    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), moves=60, literal=False, seed=2)
+    def test_one_call_equals_single_moves(self, box, moves, literal, seed):
+        problem = box_problem(*box)
+        n = problem.dimension
+        rng = np.random.default_rng(seed)
+        start, star = (int(v) for v in rng.integers(0, problem.lattice_size(), 2))
+        k = int(rng.integers(1, 40))
+        stamps = [int(v) for v in rng.integers(-n, k, n)]  # older than move k
+        uniforms = rng.random(moves * max(n, 2)).tolist()
+
+        evaluator, state = CachedEvaluator(problem, OBJ1), TabuState(list(stamps))
+        draws, path = iter(uniforms), []
+        last = tabu_move(start, star, k, state, evaluator, draws.__next__, literal, moves, path)
+
+        # the same moves one call each, the caller keeping the best index
+        single, single_state = CachedEvaluator(problem, OBJ1), TabuState(list(stamps))
+        single_draws = iter(uniforms)
+        i, best, landed = start, star, []
+        for step in range(k, k + moves):
+            i = tabu_move(i, best, step, single_state, single, single_draws.__next__, literal)
+            landed.append(i)
+            if single.key_at(i) < single.key_at(best):
+                best = i
+        assert path == landed
+        assert last == i
+        assert state.t == single_state.t
+        assert operator.length_hint(draws) == operator.length_hint(single_draws)
+        assert set(evaluator._evals) == set(single._evals)
+
+
+class TestKeyStore:
+    @pytest.mark.parametrize("widths, dense", [
+        ((254, 256), True),  # 255 * 257 = DENSE_LIMIT - 1 points
+        ((255, 255), False),  # 256 * 256 = DENSE_LIMIT points
+        ((20,) * 6, False),  # 21^6 = 8.6e7 points, the shape of the wide workload
+    ])
+    def test_dense_lists_only_under_the_bound(self, widths, dense):
+        problem = box_problem([0] * len(widths), list(widths), [3] * len(widths), 10**6)
+        evaluator = CachedEvaluator(problem, OBJ1)
+        size = problem.lattice_size()
+        assert (size < DENSE_LIMIT) == dense
+        if dense:
+            assert evaluator._keys == [None] * size
+            assert evaluator._points == [None] * size
+        else:
+            assert not isinstance(evaluator._keys, list) and len(evaluator._keys) == 0
+            assert evaluator._points is None
+        start = tuple(w // 2 for w in widths)
+        visited = set()
+        best = tabu_search(start, 300, OBJ1, np.random.default_rng(0), evaluator=evaluator,
+                           visited=visited)
+        assert best in visited and evaluator.key(best) <= evaluator.key(start)
+        if not dense:
+            # the sparse store holds exactly the points the walk evaluated
+            assert set(evaluator._keys) == set(evaluator._evals)
