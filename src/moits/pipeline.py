@@ -9,9 +9,10 @@ evolution engine with tabu-search refinement of every population member and
 archiving each feasible integer result.
 
 Constraints enter the pipeline as an extra minimization objective, the
-maximum violation G(x); the constraint functions themselves stay on the
-augmented problem so that feasibility rules and the ideal/anti-ideal values
-keep operating over the feasible region.
+maximum violation G(x): a ``VIOLATION`` slot that evaluation fills from the
+same constraint pass that sets the violation. The constraint functions stay
+on the augmented problem so that feasibility rules and the ideal/anti-ideal
+values keep operating over the feasible region.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import de, tabu
-from .problems import Evaluation, Problem, deb_key, evaluate, feasible_lattice, pareto_filter
+from .problems import VIOLATION, Evaluation, Problem, deb_key, feasible_lattice, pareto_filter
 
 __all__ = [
     "CompromiseAnchors",
@@ -101,21 +102,6 @@ class CompromiseAnchors:
         return not span > DEGENERACY_TOL
 
 
-class _ViolationObjective:
-    """Maximum constraint violation of the source problem, as an objective."""
-
-    def __init__(self, constraints):
-        self.constraints = constraints
-
-    def __call__(self, x) -> float:
-        worst = 0.0
-        for g in self.constraints:
-            val = g(x)
-            if val > worst:
-                worst = val
-        return worst
-
-
 def augment_with_violation(problem: Problem) -> Problem:
     """Append G(x) as an extra minimization objective (unconstrained problems
     pass through unchanged). The constraint list is retained so feasibility
@@ -124,7 +110,7 @@ def augment_with_violation(problem: Problem) -> Problem:
         return problem
     return replace(
         problem,
-        objectives=problem.objectives + ((_ViolationObjective(problem.constraints), "min"),),
+        objectives=problem.objectives + ((VIOLATION, "min"),),
         name=f"{problem.name}+violation",
     )
 
@@ -276,10 +262,12 @@ class SolutionArchive:
 
     Within one run an entry counts once regardless of how often it is
     rediscovered; :meth:`merge_run` bumps counts by run membership.
+    ``anchors`` are those of the run that built it, None for a merged archive.
     """
 
-    def __init__(self):
+    def __init__(self, anchors: CompromiseAnchors | None = None):
         self.entries: dict[tuple[int, ...], ArchiveEntry] = {}
+        self.anchors = anchors
 
     def add(self, x, evaluation: Evaluation, run_id: int = 0) -> None:
         if evaluation.violation != 0.0:
@@ -319,7 +307,6 @@ def stage3_alternate(
     anchors: CompromiseAnchors,
     config: HybridConfig,
     rng,
-    archive: SolutionArchive,
     run_id: int = 0,
 ) -> SolutionArchive:
     """Alternate evolution on the satisfaction level with tabu refinement.
@@ -327,8 +314,8 @@ def stage3_alternate(
     Each alternation runs the configured variant for its full iteration
     budget, then rounds and tabu-refines every population member, archiving
     each feasible integer result and writing it back into the population when
-    it improves the incumbent. The archive is Pareto-filtered on the original
-    objectives at the end.
+    it improves the incumbent. Returns a new archive, Pareto-filtered on the
+    original objectives and carrying ``anchors``.
     """
     objective = maxmin_objective(anchors)
     evaluator = tabu.CachedEvaluator(problem_k, objective)
@@ -350,6 +337,7 @@ def stage3_alternate(
             ev = evaluator.evaluation(refined)
             if evaluator.key(refined) < deb_key(objective.fitness(member.eval), member.eval.violation):
                 pop[i] = de.Individual(np.asarray(refined, dtype=float), ev)
+    archive = SolutionArchive(anchors)
     for point in sorted(visited):
         ev = evaluator.evaluation(point)
         if ev.violation == 0.0:
@@ -372,13 +360,8 @@ def compute_anchors(problem: Problem, config: HybridConfig, rng):
 def solve(problem: Problem, config: HybridConfig, rng, run_id: int = 0) -> SolutionArchive:
     """One full run: anchors, then the alternating stage-3 search.
 
-    Returns the finalized archive; the completed anchors are attached as
-    ``archive.anchors`` for reporting.
+    Returns the finalized archive; its ``anchors`` attribute holds the
+    completed anchors for reporting.
     """
     problem_k, anchors = compute_anchors(problem, config, rng)
-    archive = SolutionArchive()
-    stage3_alternate(
-        problem_k, problem.n_objectives, anchors, config, rng, archive, run_id
-    )
-    archive.anchors = anchors
-    return archive
+    return stage3_alternate(problem_k, problem.n_objectives, anchors, config, rng, run_id)

@@ -5,19 +5,20 @@ inequality constraints ``g_j(x) <= 0`` and an integer box ``[l, u]``.
 Evaluation converts every objective to minimization sense and aggregates
 constraint violation into a single scalar ``G(x) = max(0, g_1, ..., g_m)``,
 so that all downstream comparisons (dominance, Deb feasibility rules,
-TOPSIS criteria) work on one uniform representation.
+TOPSIS criteria) work on one uniform representation. :func:`evaluate` is the
+one place G is computed; an objective slot holding :data:`VIOLATION` reads it.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 __all__ = [
+    "VIOLATION",
     "Problem",
     "Evaluation",
     "evaluate",
@@ -32,6 +33,14 @@ __all__ = [
 ObjectiveFn = Callable[[Sequence[float]], float]
 
 BRUTE_FORCE_LIMIT = 10_000_000
+
+
+class _Marker(enum.Enum):  # an enum member pickles as itself
+    VIOLATION = "G(x)"
+
+
+# in place of an objective function, marks the slot that evaluate fills with G(x)
+VIOLATION = _Marker.VIOLATION
 
 
 @dataclass(frozen=True)
@@ -93,14 +102,18 @@ def evaluate(problem: Problem, x) -> Evaluation:
     """Evaluate ``x`` (real-valued points allowed), negating max-sense objectives.
 
     Raises on dimension mismatch and on non-finite function values, naming
-    the offending objective or constraint.
+    the offending objective or constraint. A :data:`VIOLATION` slot gets G(x).
     """
     if len(x) != problem.dimension:
         raise ValueError(
             f"point of length {len(x)} for problem of dimension {problem.dimension}"
         )
     objs = []
+    slot = -1
     for i, (fn, sense) in enumerate(problem.objectives):
+        if fn is VIOLATION:
+            slot = i
+            continue
         val = float(fn(x))
         if not math.isfinite(val):
             raise ValueError(f"objective {i} of {problem.name!r} is non-finite at {tuple(x)}")
@@ -112,6 +125,8 @@ def evaluate(problem: Problem, x) -> Evaluation:
             raise ValueError(f"constraint {j} of {problem.name!r} is non-finite at {tuple(x)}")
         if gval > violation:
             violation = gval
+    if slot >= 0:
+        objs.insert(slot, violation)
     return Evaluation(tuple(objs), violation)
 
 

@@ -84,7 +84,7 @@ class CachedEvaluator:
     neighbour an integer addition and a list lookup.
     """
 
-    def __init__(self, problem: Problem, objective=None):
+    def __init__(self, problem: Problem, objective):
         self.problem = problem
         self.objective = objective
         self.radix = tuple(u - lo + 1 for lo, u in zip(problem.lower_bounds, problem.upper_bounds))
@@ -236,17 +236,15 @@ def tabu_search(
     """Refine ``x0`` for the given number of moves; returns the best point found.
 
     Either ``problem`` or a pre-built ``evaluator`` (which carries the problem
-    and may be shared across searches) must be supplied. When ``visited`` is
-    given, every lattice point the walk lands on is added to it, so callers
-    can harvest candidate solutions beyond the single best. A start outside
-    the box raises ``ValueError``.
+    and ``objective``, and may be shared across searches) must be supplied.
+    When ``visited`` is given, every lattice point the walk lands on is added
+    to it, so callers can harvest candidate solutions beyond the single best.
+    A start outside the box raises ``ValueError``.
     """
     if evaluator is None:
         if problem is None:
             raise ValueError("tabu_search needs a problem or an evaluator")
         evaluator = CachedEvaluator(problem, objective)
-    elif evaluator.objective is None:
-        evaluator.objective = objective
     elif evaluator.objective is not objective:
         raise ValueError("shared evaluator is bound to a different objective")
     n = evaluator.problem.dimension

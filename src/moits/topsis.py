@@ -59,6 +59,9 @@ class DecisionMatrix:
         for sense in self.criteria_senses:
             if sense not in (BENEFIT, COST):
                 raise ValueError(f"unknown criterion sense {sense!r}")
+        for name, values in (("entries", entries), ("weights", weights)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
             raise ValueError("weights must be non-negative and sum to 1")
 

@@ -246,6 +246,17 @@ class TestRank:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("text, flags", [
+        ("1,nan\n3,4\n", []),
+        ("1,2\ninf,4\n", []),
+        ("1,2\n3,4\n", ["--weights", "nan,nan"]),
+    ])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, text, flags):
+        matrix = self.write_matrix(tmp_path, text)
+        assert main(["rank", matrix, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+
     def test_bad_weights_exit_1(self, tmp_path, capsys):
         matrix = self.write_matrix(tmp_path, "1,2\n3,4\n")
         assert main(["rank", matrix, "--weights", "0.9,0.9"]) == 1

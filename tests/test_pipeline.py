@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from moits.pipeline import (
     solve,
     stage1_anchors,
 )
-from moits.problems import Evaluation, brute_force_pareto, evaluate, feasible_lattice
+from moits.problems import VIOLATION, Evaluation, brute_force_pareto, evaluate
 
 SMALL = HybridConfig(
     de=DEConfig(population_size=20, max_iterations=30),
@@ -46,8 +48,6 @@ class TestConfig:
 class TestAugment:
     def test_unconstrained_passthrough(self):
         problem = benchmark("p2").problem
-        from dataclasses import replace
-
         bare = replace(problem, constraints=())
         assert augment_with_violation(bare) is bare
 
@@ -61,10 +61,37 @@ class TestAugment:
 
     def test_violation_objective_values(self):
         aug = augment_with_violation(benchmark("p1").problem)
-        g_feasible = aug.objectives[-1][0]((4, 4))
-        g_infeasible = aug.objectives[-1][0]((7, 5))
+        g_feasible = evaluate(aug, (4, 4)).objectives_min[-1]
+        g_infeasible = evaluate(aug, (7, 5)).objectives_min[-1]
         assert g_feasible == 0.0
         assert g_infeasible == 9.0  # worst of the two constraints at (7, 5)
+
+    def test_one_constraint_pass_per_evaluation(self):
+        problem = benchmark("p1").problem
+        calls = []
+
+        def counted(j):
+            def g(x):
+                calls.append(j)
+                return problem.constraints[j](x)
+            return g
+
+        aug = augment_with_violation(replace(problem, constraints=(counted(0), counted(1))))
+        ev = evaluate(aug, (7, 5))
+        assert sorted(calls) == [0, 1]
+        assert ev.objectives_min[-1] == ev.violation == 9.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constraint_named(self, value):
+        problem = replace(benchmark("p1").problem, constraints=(lambda x: value,))
+        with pytest.raises(ValueError, match="constraint 0 .*non-finite"):
+            evaluate(augment_with_violation(problem), (4, 4))
+
+    def test_augmented_problem_pickles(self):
+        aug = augment_with_violation(benchmark("p1").problem)
+        again = pickle.loads(pickle.dumps(aug))
+        assert again.objectives[-1][0] is VIOLATION
+        assert evaluate(again, (7, 5)) == evaluate(aug, (7, 5))
 
     def test_augmented_evaluation_stays_feasible_aware(self):
         aug = augment_with_violation(benchmark("p1").problem)
@@ -290,3 +317,4 @@ class TestSolve:
         problem = benchmark("p3").problem
         archive = solve(problem, SMALL, np.random.default_rng(0))
         assert isinstance(archive.anchors, CompromiseAnchors)
+        assert SolutionArchive().anchors is None  # a merged archive has none

@@ -85,11 +85,6 @@ class TestCachedEvaluator:
         e = evaluate(problem, (4, 4))
         assert ev.key((4, 4)) == deb_key(obj.fitness(e), e.violation)
 
-    def test_search_binds_free_evaluator(self):
-        ev = CachedEvaluator(quad_problem())
-        tabu_search((0, 0), 5, OBJ1, np.random.default_rng(0), evaluator=ev)
-        assert ev.objective is OBJ1
-
     def test_search_rejects_mismatched_objective(self):
         ev = CachedEvaluator(quad_problem(), OBJ1)
         other = single_objective(0, 1, negate=True)

@@ -54,6 +54,16 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             build_matrix([Evaluation((1.0,), 0.0)], weights=[0.3, 0.3])
 
+    @pytest.mark.parametrize("entries, weights, name", [
+        ([[1.0, np.nan], [2.0, 3.0]], [0.5, 0.5], "entries"),
+        ([[1.0, 2.0], [-np.inf, 3.0]], [0.5, 0.5], "entries"),
+        ([[1.0, 2.0], [2.0, 3.0]], [np.nan, np.nan], "weights"),
+        ([[1.0, 2.0], [2.0, 3.0]], [np.inf, 0.5], "weights"),
+    ])
+    def test_non_finite_rejected(self, entries, weights, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DecisionMatrix(np.array(entries), (COST, COST), np.array(weights))
+
 
 class TestNormalize:
     def test_divide_by_column_max(self):
