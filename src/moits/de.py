@@ -19,12 +19,13 @@ member, numpy's per-call overhead costs more than the arithmetic. Each
 formula keeps numpy's operation order, and :func:`clamp` resolves ties as
 ``np.clip`` does, so the floats are the ones numpy computed. The primitives
 take a ``draw`` callable returning one uniform in [0, 1) (``rng.random``
-works). :func:`run` hands out uniforms from blocks of ``BLOCK`` drawn with
-one ``rng.random(BLOCK)`` call each and at the end rewinds the generator to
-just after the last uniform used, so results and the generator's final
-state are those of one scalar ``rng.random()`` per draw. ``Individual.x``
-is an ndarray at the boundary of :func:`run`; the TOPSIS elections run in
-numpy on the fitness and violation columns.
+works). :func:`run`, and tabu search, take them from :func:`block_draws`:
+blocks of ``BLOCK`` drawn with one ``rng.random(BLOCK)`` call each, and at
+the end a rewind of the generator to just after the last uniform used, so
+results and the generator's final state are those of one scalar
+``rng.random()`` per draw. ``Individual.x`` is an ndarray at the boundary of
+:func:`run`; the TOPSIS elections run in numpy on the fitness and violation
+columns.
 
 The engine optimizes one scalarized fitness at a time; a
 :class:`ScalarObjective` maps a cached evaluation to that scalar, which lets
@@ -57,13 +58,14 @@ __all__ = [
     "weight_r",
     "crossover",
     "clamp",
+    "block_draws",
     "choose_best",
     "run",
 ]
 
 VARIANTS = ("rand1", "best", "degl")
 
-# uniforms per block of run's draws (see _block_draws)
+# uniforms per block of draws (see block_draws)
 BLOCK = 1024
 
 
@@ -209,12 +211,13 @@ def clamp(trial, lo, up) -> list[float]:
     return [v if v < upper else upper for v, upper in zip(raised, up)]
 
 
-def _block_draws(rng: np.random.Generator, size: int):
+def block_draws(rng: np.random.Generator):
     """A ``draw`` callable handing out the uniforms of ``rng`` one at a time,
-    from blocks of ``size`` drawn with one ``rng.random(size)`` call each when
-    the previous block runs out, and a ``settle`` callable that rewinds ``rng``
-    to just after the last uniform handed out, where one scalar
-    ``rng.random()`` per draw leaves it."""
+    from blocks of ``BLOCK`` drawn with one ``rng.random(BLOCK)`` call each
+    when the previous block runs out, and a ``settle`` callable that rewinds
+    ``rng`` to just after the last uniform handed out, where one scalar
+    ``rng.random()`` per draw leaves it. Call ``settle`` in a ``finally``."""
+    size = BLOCK
     last = [None, iter(())]  # the state before the latest block, its iterator
 
     def blocks():
@@ -275,7 +278,7 @@ def run(problem, config: DEConfig, objective, rng, initial=None):
     if variant == "degl":
         neigh_lists = [_neighborhood(i, config.neighborhood_k, np_size) for i in range(np_size)]
         neigh_rows = np.array(neigh_lists)
-    draw, settle = _block_draws(rng, BLOCK)
+    draw, settle = block_draws(rng)
     try:
         for iteration in range(1, config.max_iterations + 1):
             r = weight_r(iteration, config.max_iterations)

@@ -73,10 +73,10 @@ class ExperimentReport:
 
 
 def _solve_run(args):
-    spec, config, seed, run_id = args
+    spec, config, seed = args
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    archive = pipeline.solve(spec.problem, config, rng, run_id)
+    archive = pipeline.solve(spec.problem, config, rng)
     return archive, time.perf_counter() - started
 
 
@@ -100,7 +100,7 @@ def run_experiment(
     """
     config = replace(hybrid_config, de=replace(hybrid_config.de, variant=variant))
     seeds = tuple(derive_seed(master_seed, i) for i in range(config.runs))
-    jobs = [(spec, config, seed, i) for i, seed in enumerate(seeds)]
+    jobs = [(spec, config, seed) for seed in seeds]
     if workers is None:
         workers = min(os.cpu_count() or 1, config.runs)
     if workers > 1:

@@ -254,7 +254,6 @@ def maxmin_objective(anchors) -> de.ScalarObjective:
 class ArchiveEntry:
     evaluation: Evaluation
     count: int
-    first_run: int
 
 
 class SolutionArchive:
@@ -269,21 +268,20 @@ class SolutionArchive:
         self.entries: dict[tuple[int, ...], ArchiveEntry] = {}
         self.anchors = anchors
 
-    def add(self, x, evaluation: Evaluation, run_id: int = 0) -> None:
+    def add(self, x, evaluation: Evaluation) -> None:
         if evaluation.violation != 0.0:
             raise ValueError(f"refusing to archive infeasible point {tuple(x)}")
         key = tuple(int(v) for v in x)
         if key not in self.entries:
-            self.entries[key] = ArchiveEntry(evaluation, 1, run_id)
+            self.entries[key] = ArchiveEntry(evaluation, 1)
 
     def merge_run(self, run_archive: "SolutionArchive") -> None:
         for key, entry in run_archive.entries.items():
             mine = self.entries.get(key)
             if mine is None:
-                self.entries[key] = ArchiveEntry(entry.evaluation, 1, entry.first_run)
+                self.entries[key] = ArchiveEntry(entry.evaluation, 1)
             else:
                 mine.count += 1
-                mine.first_run = min(mine.first_run, entry.first_run)
 
     def finalize_pareto(self) -> None:
         """Drop entries dominated by another archived entry."""
@@ -307,7 +305,6 @@ def stage3_alternate(
     anchors: CompromiseAnchors,
     config: HybridConfig,
     rng,
-    run_id: int = 0,
 ) -> SolutionArchive:
     """Alternate evolution on the satisfaction level with tabu refinement.
 
@@ -334,14 +331,15 @@ def stage3_alternate(
                 literal_diversification=config.literal_diversification,
                 visited=visited,
             )
-            ev = evaluator.evaluation(refined)
-            if evaluator.key(refined) < deb_key(objective.fitness(member.eval), member.eval.violation):
+            j = evaluator.index(refined)
+            ev = evaluator.evaluation(j)
+            if evaluator.key(j) < deb_key(objective.fitness(member.eval), member.eval.violation):
                 pop[i] = de.Individual(np.asarray(refined, dtype=float), ev)
     archive = SolutionArchive(anchors)
     for point in sorted(visited):
-        ev = evaluator.evaluation(point)
+        ev = evaluator.evaluation(evaluator.index(point))
         if ev.violation == 0.0:
-            archive.add(point, Evaluation(ev.objectives_min[:d_original], 0.0), run_id)
+            archive.add(point, Evaluation(ev.objectives_min[:d_original], 0.0))
     archive.finalize_pareto()
     return archive
 
@@ -357,11 +355,11 @@ def compute_anchors(problem: Problem, config: HybridConfig, rng):
     return problem_k, stage2_anchors(problem_k, frame, config, rng)
 
 
-def solve(problem: Problem, config: HybridConfig, rng, run_id: int = 0) -> SolutionArchive:
+def solve(problem: Problem, config: HybridConfig, rng) -> SolutionArchive:
     """One full run: anchors, then the alternating stage-3 search.
 
     Returns the finalized archive; its ``anchors`` attribute holds the
     completed anchors for reporting.
     """
     problem_k, anchors = compute_anchors(problem, config, rng)
-    return stage3_alternate(problem_k, problem.n_objectives, anchors, config, rng, run_id)
+    return stage3_alternate(problem_k, problem.n_objectives, anchors, config, rng)

@@ -21,41 +21,33 @@ Keys: each lattice point's feasibility-rule key is evaluated the first time
 the walk looks at it. :class:`CachedEvaluator` stores the keys in a list with
 one slot per lattice point when the box has fewer than ``DENSE_LIMIT`` points,
 and in a dict otherwise; both read an unfilled slot as ``None``, so the walk
-reads a key as ``keys[i] or key_at(i)``. Decoded points are memoised in a
-list too, on dense lattices only: a large lattice's walks land on many
-distinct points, so a memo there would grow with them.
+reads a key as ``keys[i] or key(i)``. Decoded points are memoised in a list
+too, on dense lattices only: a large lattice's walks land on many distinct
+points, so a memo there would grow with them.
 
-The kernel: one :func:`tabu_move` call runs a segment of consecutive moves,
-with the aspiration level kept current inside the call, and appends each
-landing to a path. :func:`tabu_search` calls it once per ``SEGMENT`` moves and
-takes the segment's best point from the path: the first landing with the
-least key, which is what a strict ``<`` update after every move picks.
+The kernel: one :func:`tabu_move` call runs a whole search, with the
+aspiration level kept current inside the call, and appends each landing to a
+path. The search's best point is the first landing with the least key, which
+is what a strict ``<`` update after every move picks.
 
 Random draws: a move takes one uniform per variable when it scans and two
-when it kicks. :func:`tabu_search` draws them in blocks of one segment's
-worth, ``SEGMENT * max(n, 2)`` uniforms with one ``rng.random(m)`` call, and
-hands them to the moves in order. At the end of a segment that used fewer
-than it drew, it restores the generator state saved before the block and
-draws the used count again. ``Generator.random(m)`` yields the same doubles
-as m scalar ``rng.random()`` calls, so the walk and the generator's final
-state are those of one scalar call per draw.
+when it kicks, from :func:`moits.de.block_draws`, so the walk and the
+generator's final state are those of one scalar ``rng.random()`` per draw.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import de
 from .problems import Evaluation, Problem, deb_key, evaluate
 
 __all__ = ["TabuState", "CachedEvaluator", "stochastic_round", "tabu_move", "tabu_search"]
 
-# moves per block of random draws, and per tabu_move call of a search
-SEGMENT = 256
 # lattices with fewer points keep keys and decoded points in dense lists
 DENSE_LIMIT = 1 << 16
 
@@ -100,7 +92,7 @@ class CachedEvaluator:
             self._keys: list | defaultdict = [None] * size
             self._points: list | None = [None] * size
         else:
-            # a missing index reads as a None slot that key_at then fills;
+            # a missing index reads as a None slot that key then fills;
             # NoneType as the factory is a C call, a Python __missing__ is not
             self._keys, self._points = defaultdict(type(None)), None
 
@@ -126,23 +118,19 @@ class CachedEvaluator:
                 points[i] = x
         return x
 
-    def evaluation(self, x) -> Evaluation:
-        return self.evaluation_at(self.index(x))
-
-    def key(self, x):
-        """Feasibility-rule comparison key of ``x`` under the bound objective."""
-        return self.key_at(self.index(x))
-
-    def evaluation_at(self, i: int) -> Evaluation:
+    def evaluation(self, i: int) -> Evaluation:
+        """The evaluation of the lattice point of flat index ``i``."""
         ev = self._evals.get(i)
         if ev is None:
             ev = self._evals[i] = evaluate(self.problem, self.point(i))
         return ev
 
-    def key_at(self, i: int):
+    def key(self, i: int):
+        """Feasibility-rule comparison key of flat index ``i`` under the bound
+        objective."""
         k = self._keys[i]
         if k is None:
-            ev = self.evaluation_at(i)
+            ev = self.evaluation(i)
             k = self._keys[i] = deb_key(self.objective.fitness(ev), ev.violation)
         return k
 
@@ -185,9 +173,9 @@ def tabu_move(
     """
     t = state.t
     n = len(t)
-    keys, key_at = evaluator._keys, evaluator.key_at
+    keys, key = evaluator._keys, evaluator.key
     strides, radix, axes = evaluator.strides, evaluator.radix, evaluator.axes
-    star_key = keys[star] or key_at(star)
+    star_key = keys[star] or key(star)
     last = max(t)  # stamps only grow, so the newest stamp is the largest
     for k in range(k, k + moves):
         if literal_diversification and k - last > n:
@@ -197,19 +185,19 @@ def tabu_move(
             i += (int(draw() * r) - i // s % r) * s
         else:
             best = i
-            best_key = keys[i] or key_at(i)
+            best_key = keys[i] or key(i)
             winner = -1
             for j, s, r in axes:
                 tenure = 1 + int(draw() * n)
                 c = i // s % r
                 if c > 0:
                     cand = i - s
-                    cand_key = keys[cand] or key_at(cand)
+                    cand_key = keys[cand] or key(cand)
                     if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
                         best, best_key, winner = cand, cand_key, j
                 if c < r - 1:
                     cand = i + s
-                    cand_key = keys[cand] or key_at(cand)
+                    cand_key = keys[cand] or key(cand)
                     if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
                         best, best_key, winner = cand, cand_key, j
             if winner >= 0:
@@ -217,9 +205,9 @@ def tabu_move(
             i = best
         if path is not None:
             path.append(i)
-            key = keys[i] or key_at(i)
-            if key < star_key:
-                star_key = key
+            landed_key = keys[i] or key(i)
+            if landed_key < star_key:
+                star_key = landed_key
     return i
 
 
@@ -247,29 +235,16 @@ def tabu_search(
         evaluator = CachedEvaluator(problem, objective)
     elif evaluator.objective is not objective:
         raise ValueError("shared evaluator is bound to a different objective")
-    n = evaluator.problem.dimension
-    i = star = evaluator.index(tuple(int(v) for v in x0))
-    trail = {i}
-    state = TabuState.fresh(n)
-    keys = evaluator._keys
-    path: list[int] = []
-    for first in range(1, iterations + 1, SEGMENT):
-        moves = min(SEGMENT, iterations + 1 - first)
-        saved = rng.bit_generator.state
-        block = rng.random(moves * max(n, 2)).tolist()
-        draws = iter(block)
-        i = tabu_move(i, star, first, state, evaluator, draws.__next__,
-                      literal_diversification, moves, path)
-        best = min(path, key=keys.__getitem__)  # the first of the least keys
-        if keys[best] < keys[star]:
-            star = best
-        trail.update(path)
-        path.clear()
-        # a list iterator's length hint is the exact count left
-        used = len(block) - operator.length_hint(draws)
-        if used < len(block):
-            rng.bit_generator.state = saved
-            rng.random(used)
+    i = evaluator.index(tuple(int(v) for v in x0))
+    path = [i]
+    if iterations > 0:  # tabu_move reads the start's key even for no moves
+        draw, settle = de.block_draws(rng)
+        try:
+            tabu_move(i, i, 1, TabuState.fresh(evaluator.problem.dimension), evaluator, draw,
+                      literal_diversification, iterations, path)
+        finally:
+            settle()
+        i = min(path, key=evaluator._keys.__getitem__)  # the first of the least keys
     if visited is not None:
-        visited.update(map(evaluator.point, trail))
-    return evaluator.point(star)
+        visited.update(map(evaluator.point, set(path)))
+    return evaluator.point(i)

@@ -57,9 +57,9 @@ class TestLoadConfig:
         path.write_text(json.dumps({**FAST, "runs": 1, "variant": "degl"}))
         variants = []
 
-        def spy(problem, config, rng, run_id=0):
+        def spy(problem, config, rng):
             variants.append(config.de.variant)
-            return original(problem, config, rng, run_id)
+            return original(problem, config, rng)
 
         original = pipeline.solve
         monkeypatch.setattr(pipeline, "solve", spy)

@@ -263,13 +263,12 @@ class TestArchive:
         total = SolutionArchive()
         for run_id in range(3):
             run = SolutionArchive()
-            run.add((1, 1), Evaluation((2.0,), 0.0), run_id)
+            run.add((1, 1), Evaluation((2.0,), 0.0))
             if run_id == 0:
-                run.add((2, 2), Evaluation((3.0,), 0.0), run_id)
+                run.add((2, 2), Evaluation((3.0,), 0.0))
             total.merge_run(run)
         assert total.entries[(1, 1)].count == 3
         assert total.entries[(2, 2)].count == 1
-        assert total.entries[(1, 1)].first_run == 0
 
     def test_finalize_drops_dominated(self):
         archive = SolutionArchive()

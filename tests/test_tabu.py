@@ -1,16 +1,17 @@
 import operator
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from moits import de
 from moits.benchmarks import benchmark
 from moits.de import single_objective
 from moits.problems import Evaluation, Problem, deb_key, evaluate, feasible_lattice
 from moits.tabu import (
     DENSE_LIMIT,
-    SEGMENT,
     CachedEvaluator,
     TabuState,
     stochastic_round,
@@ -73,9 +74,9 @@ class TestCachedEvaluator:
             upper_bounds=(5,),
         )
         ev = CachedEvaluator(problem, OBJ1)
-        ev.evaluation((3,))
-        ev.evaluation((3,))
-        ev.key((3,))
+        ev.evaluation(ev.index((3,)))
+        ev.evaluation(ev.index((3,)))
+        ev.key(ev.index((3,)))
         assert len(calls) == 1
 
     def test_key_matches_feasibility_rules(self):
@@ -83,7 +84,7 @@ class TestCachedEvaluator:
         obj = single_objective(0, 3)
         ev = CachedEvaluator(problem, obj)
         e = evaluate(problem, (4, 4))
-        assert ev.key((4, 4)) == deb_key(obj.fitness(e), e.violation)
+        assert ev.key(ev.index((4, 4))) == deb_key(obj.fitness(e), e.violation)
 
     def test_search_rejects_mismatched_objective(self):
         ev = CachedEvaluator(quad_problem(), OBJ1)
@@ -184,7 +185,7 @@ class TestTabuSearch:
         for seed in range(10):
             x0 = (seed % 17, (3 * seed) % 17)
             result = tabu_search(x0, 50, obj, np.random.default_rng(seed), evaluator=ev)
-            assert ev.key(result) <= ev.key(tuple(x0))
+            assert ev.key(ev.index(result)) <= ev.key(ev.index(x0))
 
     def test_deterministic(self):
         problem = benchmark("p3").problem
@@ -235,7 +236,7 @@ class TestOutOfBox:
         def search(x):
             return tabu_search(x, 5, OBJ1, np.random.default_rng(0), evaluator=ev)
 
-        for call in (ev.key, ev.evaluation, search):
+        for call in (ev.index, search):
             with pytest.raises(ValueError, match=re.escape(f"point {point} lies outside")):
                 call(point)
 
@@ -342,16 +343,20 @@ class TestKernelMatchesReference:
     @settings(max_examples=80, deadline=None)
     @given(
         box=boxes(),
-        iterations=st.sampled_from([0, 1, 7, SEGMENT, SEGMENT + 1, 2 * SEGMENT + 37]),
+        iterations=st.sampled_from([0, 1, 7, 256, 257, 549]),
         literal=st.booleans(),
         searches=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 2, 7, de.BLOCK]),
     )
-    @example(box=([-3], [5], [0], 9), iterations=2 * SEGMENT + 37, literal=True, searches=2, seed=1)
-    @example(box=([-3], [5], [0], 9), iterations=2 * SEGMENT + 37, literal=False, searches=2, seed=1)
-    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), iterations=SEGMENT + 1, literal=True,
-             searches=3, seed=2)
-    def test_same_best_trail_and_generator_state(self, box, iterations, literal, searches, seed):
+    @example(box=([-3], [5], [0], 9), iterations=549, literal=True, searches=2, seed=1,
+             block=de.BLOCK)
+    @example(box=([-3], [5], [0], 9), iterations=549, literal=False, searches=2, seed=1,
+             block=de.BLOCK)
+    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), iterations=257, literal=True,
+             searches=3, seed=2, block=de.BLOCK)
+    def test_same_best_trail_and_generator_state(self, box, iterations, literal, searches, seed,
+                                                 block):
         # one evaluator of each kind shared by all searches, as in stage 3
         problem = box_problem(*box)
         kernel, reference = CachedEvaluator(problem, OBJ1), _ReferenceEvaluator(problem, OBJ1)
@@ -362,8 +367,10 @@ class TestKernelMatchesReference:
                        for lo, up in zip(problem.lower_bounds, problem.upper_bounds))
             assert x0 == tuple(int(reference_rng.integers(lo, up + 1))
                                for lo, up in zip(problem.lower_bounds, problem.upper_bounds))
-            best = tabu_search(x0, iterations, OBJ1, kernel_rng, evaluator=kernel,
-                               literal_diversification=literal, visited=kernel_trail)
+            # small blocks put refills and the final rewind at every position of a walk
+            with mock.patch.object(de, "BLOCK", block):
+                best = tabu_search(x0, iterations, OBJ1, kernel_rng, evaluator=kernel,
+                                   literal_diversification=literal, visited=kernel_trail)
             expected = _reference_tabu_search(x0, iterations, reference_rng, reference,
                                               literal, reference_trail)
             assert best == expected
@@ -375,7 +382,7 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_tied_best_keeps_the_first_found(self, seed):
         # the objective ignores x2, so every point of the line x1 = 2 is a best point;
-        # kicks leave the line and scans return to it elsewhere, in later segments
+        # kicks leave the line and scans return to it elsewhere
         problem = Problem(
             dimension=2,
             objectives=((lambda x: float((x[0] - 2) ** 2), "min"),),
@@ -384,10 +391,29 @@ class TestKernelMatchesReference:
             upper_bounds=(4, 4),
         )
         kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        best = tabu_search((-4, -4), 3 * SEGMENT, OBJ1, kernel_rng, problem=problem)
-        expected = _reference_tabu_search((-4, -4), 3 * SEGMENT, reference_rng,
+        best = tabu_search((-4, -4), 768, OBJ1, kernel_rng, problem=problem)
+        expected = _reference_tabu_search((-4, -4), 768, reference_rng,
                                           _ReferenceEvaluator(problem, OBJ1), True, None)
         assert best == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_failing_objective_leaves_generator_as_reference(self, seed):
+        # the objective is non-finite at its minimum, which the walk reaches a few
+        # moves into 1000: the uniforms drawn past the failing move are given back
+        def f(x):
+            if tuple(x) == (2, -3):
+                return float("nan")
+            return float((x[0] - 2) ** 2 + (x[1] + 3) ** 2)
+
+        problem = Problem(dimension=2, objectives=((f, "min"),), constraints=(),
+                          lower_bounds=(-5, -5), upper_bounds=(5, 5))
+        kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.raises(ValueError, match="non-finite"):
+            tabu_search((-5, 5), 1000, OBJ1, kernel_rng, problem=problem)
+        with pytest.raises(ValueError, match="non-finite"):
+            _reference_tabu_search((-5, 5), 1000, reference_rng,
+                                   _ReferenceEvaluator(problem, OBJ1), True, None)
+        assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestMultiMoveKernel:
@@ -420,7 +446,7 @@ class TestMultiMoveKernel:
         for step in range(k, k + moves):
             i = tabu_move(i, best, step, single_state, single, single_draws.__next__, literal)
             landed.append(i)
-            if single.key_at(i) < single.key_at(best):
+            if single.key(i) < single.key(best):
                 best = i
         assert path == landed
         assert last == i
@@ -450,7 +476,8 @@ class TestKeyStore:
         visited = set()
         best = tabu_search(start, 300, OBJ1, np.random.default_rng(0), evaluator=evaluator,
                            visited=visited)
-        assert best in visited and evaluator.key(best) <= evaluator.key(start)
+        assert best in visited
+        assert evaluator.key(evaluator.index(best)) <= evaluator.key(evaluator.index(start))
         if not dense:
             # the sparse store holds exactly the points the walk evaluated
             assert set(evaluator._keys) == set(evaluator._evals)
