@@ -95,14 +95,18 @@ def run_experiment(
 ) -> ExperimentReport:
     """Execute ``hybrid_config.runs`` independent seeded runs of one variant.
 
-    Runs execute in parallel when more than one CPU is available; results are
-    reduced in run order, so the report is deterministic per master seed.
+    Runs execute in parallel when more than one CPU is available, on at most
+    ``runs`` worker processes; results are reduced in run order, so the report
+    is deterministic per master seed.
     """
     config = replace(hybrid_config, de=replace(hybrid_config.de, variant=variant))
     seeds = tuple(derive_seed(master_seed, i) for i in range(config.runs))
     jobs = [(spec, config, seed) for seed in seeds]
     if workers is None:
-        workers = min(os.cpu_count() or 1, config.runs)
+        workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, config.runs)
     if workers > 1:
         try:
             pickle.dumps(spec)

@@ -12,7 +12,10 @@ Constraints enter the pipeline as an extra minimization objective, the
 maximum violation G(x): a ``VIOLATION`` slot that evaluation fills from the
 same constraint pass that sets the violation. The constraint functions stay
 on the augmented problem so that feasibility rules and the ideal/anti-ideal
-values keep operating over the feasible region.
+values keep operating over the feasible region. Over that region G is 0, so
+once stage 1 has found a feasible point G's ideal and anti-ideal are exactly
+0.0 and no evolution run is spent on them; the degenerate column is then
+dropped from the distance sums like any other.
 """
 
 from __future__ import annotations
@@ -128,15 +131,26 @@ def _run_best(problem_k, de_config, objective, rng):
 
 def stage1_anchors(problem_k: Problem, config: HybridConfig, rng):
     """Ideal and anti-ideal value of every objective via one minimizing and one
-    maximizing evolution run each."""
+    maximizing evolution run each.
+
+    The ``VIOLATION`` slot comes last. G is 0 over the feasible region, so once
+    an earlier run's best point is feasible its anchors are exactly 0.0 and no
+    run is spent on it; otherwise its two runs estimate them as for any column.
+    """
     k = problem_k.n_objectives
     cfg = _stage_de_config(config)
     f_star, f_minus = [], []
-    for j in range(k):
+    feasible_seen = False
+    for j, (fn, _) in enumerate(problem_k.objectives):
+        if fn is VIOLATION and feasible_seen:
+            f_star.append(0.0)
+            f_minus.append(0.0)
+            continue
         low = _run_best(problem_k, cfg, de.single_objective(j, k), rng)
         f_star.append(low.eval.objectives_min[j])
         high = _run_best(problem_k, cfg, de.single_objective(j, k, negate=True), rng)
         f_minus.append(high.eval.objectives_min[j])
+        feasible_seen = feasible_seen or 0.0 in (low.eval.violation, high.eval.violation)
     return tuple(f_star), tuple(f_minus)
 
 

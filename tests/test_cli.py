@@ -119,6 +119,11 @@ class TestUsageErrors:
     def test_missing_config_file_exits_1(self, capsys):
         assert main(["solve", "--problem", "p3", "--config", "/no/such.json"]) == 1
 
+    def test_zero_workers_exits_1(self, capsys):
+        assert main(["experiment", "--problem", "p1", "--workers", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "workers" in err
+
 
 class TestSolve:
     def test_csv_output(self, fast_config, tmp_path, capsys):

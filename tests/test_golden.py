@@ -19,9 +19,9 @@ from moits.de import DEConfig
 from moits.pipeline import HybridConfig, solve
 
 PINS = {
-    ("p1", "degl"): "721f5e0722ce036fe1729d10ae57acf07c0ab4d5521636b7be1e63b2324c6101",
-    ("p2", "rand1"): "426bde25c55cb98c0a5e5ed451cd093a557527fc07f9e4a34bb9551828150b7d",
-    ("p3", "best"): "e1f66e4127cf9b26686e768ff87b0573cb589ae2726f42ed19c57c10fd5f6462",
+    ("p1", "degl"): "0c8c4959c1be2c95c29538f80d876dae89930821766a1fb7b1a35c018294559a",
+    ("p2", "rand1"): "6d15ec8a7b0ea458d74bc1dc3764413dcb7c11c12dae4c623af32e4f36aafc8a",
+    ("p3", "best"): "36114236f595f14bdb1d2377c42015f57a09c34524850add35405bf97f9f10a7",
 }
 
 ANCHOR_FIELDS = (

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from moits import harness
 from moits.benchmarks import benchmark
 from moits.de import DEConfig
 from moits.harness import (
@@ -105,6 +106,47 @@ class TestUnpicklableProblem:
         )
         with pytest.raises(ValueError, match="'lambdas'.*workers=1"):
             run_experiment(lambdas, "rand1", SMALL, master_seed=1, workers=2)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with one that records its size and maps the
+    jobs inline, so no process is started."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+class TestWorkerPool:
+    def test_pool_capped_at_runs(self, pool_sizes, p3_report):
+        report = run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=64)
+        assert pool_sizes == [SMALL.runs]
+        assert report.counts == p3_report.counts
+
+    def test_default_pool_capped_at_runs(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        run_experiment(benchmark("p3"), "rand1", replace(SMALL, runs=2), master_seed=9)
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected(self, pool_sizes, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=workers)
+        assert pool_sizes == []
 
 
 class TestVerifyKnown:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from moits import de
 from moits.benchmarks import benchmark
 from moits.de import DEConfig
 from moits.pipeline import (
@@ -24,7 +25,7 @@ from moits.pipeline import (
     solve,
     stage1_anchors,
 )
-from moits.problems import VIOLATION, Evaluation, brute_force_pareto, evaluate
+from moits.problems import VIOLATION, Evaluation, Problem, brute_force_pareto, evaluate
 
 SMALL = HybridConfig(
     de=DEConfig(population_size=20, max_iterations=30),
@@ -228,6 +229,84 @@ class TestOracleAnchors:
         for j in range(problem.n_objectives):
             assert f_star[j] <= oracle_star[j] + eps
             assert f_minus[j] >= oracle_minus[j] - eps
+
+
+def _never_met(x):
+    return 1.0
+
+
+def _sum_of(x):
+    return float(sum(x))
+
+
+@pytest.fixture
+def de_runs(monkeypatch):
+    """Record the objective label of every evolution run."""
+    calls = []
+    real = de.run
+
+    def spy(*args, **kwargs):
+        calls.append(args[2].label)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(de, "run", spy)
+    return calls
+
+
+STAGE1 = HybridConfig(de=DEConfig(variant="degl", population_size=20, max_iterations=10))
+
+# repr of stage 1's (f*, f-) under the golden-pin configs and seed. G's slot
+# comes last, so skipping its runs must leave the other columns' draws alone.
+STAGE1_PINS = {
+    ("p1", "degl"): (
+        "(-30.89894011652826, -74.01969945879725, -94.55301075958467, 0.0)",
+        "(-7.0, -8.0, -1.9999999999999996, 0.0)",
+    ),
+    ("p2", "rand1"): (
+        "(90.75572303552677, 100.83416633842305, -16.0, 0.0)",
+        "(1024.0, 1536.0, 512.0, 0.0)",
+    ),
+    ("p3", "best"): (
+        "(-11.12244715776343, -6.499999144474842, 0.0)",
+        "(-0.0, -0.0, 0.0)",
+    ),
+}
+
+
+class TestStage1Violation:
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+    def test_feasible_benchmark_skips_violation_runs(self, name, de_runs):
+        problem = benchmark(name).problem
+        f_star, f_minus = stage1_anchors(
+            augment_with_violation(problem), STAGE1, np.random.default_rng(0)
+        )
+        d = problem.n_objectives
+        assert de_runs == [f"{sense}_f{j}" for j in range(d) for sense in ("min", "max")]
+        assert (f_star[-1], f_minus[-1]) == (0.0, 0.0)
+        assert math.copysign(1.0, f_star[-1]) == math.copysign(1.0, f_minus[-1]) == 1.0
+
+    def test_no_feasible_point_runs_violation_column(self, de_runs):
+        problem = Problem(
+            dimension=2,
+            objectives=((_sum_of, "min"),),
+            constraints=(_never_met,),
+            lower_bounds=(0, 0),
+            upper_bounds=(3, 3),
+            name="never-feasible",
+        )
+        f_star, f_minus = stage1_anchors(
+            augment_with_violation(problem), STAGE1, np.random.default_rng(0)
+        )
+        assert de_runs == ["min_f0", "max_f0", "min_f1", "max_f1"]
+        assert f_star[-1] > 0.0
+
+    @pytest.mark.parametrize("name, variant", sorted(STAGE1_PINS))
+    def test_stage1_values_are_pinned(self, name, variant):
+        config = HybridConfig(
+            de=DEConfig(variant=variant, max_iterations=20), alternations=2, ts_iterations=1000
+        )
+        _, anchors = compute_anchors(benchmark(name).problem, config, np.random.default_rng(1))
+        assert (repr(anchors.f_star), repr(anchors.f_minus)) == STAGE1_PINS[name, variant]
 
 
 class TestComputeAnchors:
