@@ -11,21 +11,24 @@ neighborhoods of a generation in one batched election.
 :func:`run` is built from the public primitives: one ``mutate_*`` call,
 :func:`crossover` and :func:`clamp` per member and generation. The bests
 are elected once at the start of each generation and passed in, so
-replacements made during the generation do not move them.
+replacements made during the generation do not move them. Each generation
+builds one (fitness, violation) array, and the global and ring elections
+both index it. Each slot keeps its ``deb_key``, so a trial computes one key.
 
 Inside :func:`run` the population is a list of Python float lists, and the
 primitives take and return float lists: for the handful of variables of a
 member, numpy's per-call overhead costs more than the arithmetic. Each
 formula keeps numpy's operation order, and :func:`clamp` resolves ties as
-``np.clip`` does, so the floats are the ones numpy computed. The primitives
-take a ``draw`` callable returning one uniform in [0, 1) (``rng.random``
-works). :func:`run`, and tabu search, take them from :func:`block_draws`:
-blocks of ``BLOCK`` drawn with one ``rng.random(BLOCK)`` call each, and at
+``np.clip`` does, so the floats are the ones numpy computed;
+:func:`mutate_degl` builds ``r * global + (1 - r) * local`` in one pass over
+the coordinates. The primitives take a ``draw`` callable returning one
+uniform in [0, 1) (``rng.random`` works). :func:`run`, and tabu search, take
+them from :func:`block_draws`: blocks drawn with one ``rng.random(size)``
+call each, from ``FIRST_BLOCK`` uniforms doubling up to ``BLOCK``, and at
 the end a rewind of the generator to just after the last uniform used, so
 results and the generator's final state are those of one scalar
 ``rng.random()`` per draw. ``Individual.x`` is an ndarray at the boundary of
-:func:`run`; the TOPSIS elections run in numpy on the fitness and violation
-columns.
+:func:`run`; the TOPSIS elections run in numpy.
 
 The engine optimizes one scalarized fitness at a time; a
 :class:`ScalarObjective` maps a cached evaluation to that scalar, which lets
@@ -35,6 +38,7 @@ the same engine serve every stage of the compromise pipeline.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -53,7 +57,6 @@ __all__ = [
     "init_population",
     "mutate_rand1",
     "mutate_best",
-    "local_global_donors",
     "mutate_degl",
     "weight_r",
     "crossover",
@@ -65,7 +68,8 @@ __all__ = [
 
 VARIANTS = ("rand1", "best", "degl")
 
-# uniforms per block of draws (see block_draws)
+# uniforms in the first and the largest block of draws (see block_draws)
+FIRST_BLOCK = 32
 BLOCK = 1024
 
 
@@ -92,6 +96,9 @@ class DEConfig:
             raise ValueError("neighborhood must satisfy 2k + 1 <= population size")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        for name in ("scale_factor", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.4 <= self.scale_factor <= 1.0:
             warnings.warn(
                 f"scale factor {self.scale_factor} outside the recommended range [0.4, 1]",
@@ -138,14 +145,16 @@ def init_population(problem: Problem, config: DEConfig, rng: np.random.Generator
 
 
 def _draw_distinct(draw, pool: Sequence[int], exclude, count: int):
-    """Rejection-sample ``count`` distinct indices from ``pool``, avoiding ``exclude``."""
+    """Rejection-sample ``count`` >= 1 distinct indices from ``pool``, avoiding
+    ``exclude``."""
     out = []
     size = len(pool)
-    while len(out) < count:
+    while True:
         candidate = pool[int(draw() * size)]
         if candidate not in exclude and candidate not in out:
             out.append(candidate)
-    return out
+            if len(out) == count:
+                return out
 
 
 def mutate_rand1(xs, i: int, F: float, draw) -> list[float]:
@@ -168,26 +177,22 @@ def _neighborhood(i: int, k: int, size: int):
     return [(i + off) % size for off in range(-k, k + 1)]
 
 
-def _pulled(xi, toward, p, q, alpha, beta):
-    """``xi + alpha*(toward - xi) + beta*(p - q)``, in numpy's operation order."""
-    return [a + alpha * (t - a) + beta * (u - v) for a, t, u, v in zip(xi, toward, p, q)]
-
-
-def local_global_donors(xs, i, alpha, beta, neigh, local_best, gbest_index, draw):
-    """Local donor from the ring neighborhood ``neigh`` of member ``i``, pulled
-    toward its best member ``local_best``, and global donor from the whole
-    population, pulled toward ``gbest_index``."""
-    p, q = _draw_distinct(draw, neigh, (i,), 2)
-    local = _pulled(xs[i], xs[local_best], xs[p], xs[q], alpha, beta)
-    p2, q2 = _draw_distinct(draw, range(len(xs)), (i,), 2)
-    glob = _pulled(xs[i], xs[gbest_index], xs[p2], xs[q2], alpha, beta)
-    return local, glob
-
-
 def mutate_degl(xs, i, alpha, beta, r, neigh, local_best, gbest_index, draw):
-    local, glob = local_global_donors(xs, i, alpha, beta, neigh, local_best, gbest_index, draw)
+    """``r * global + (1 - r) * local``: the local donor pulls member ``i``
+    toward the best ``local_best`` of its ring neighborhood ``neigh``, with a
+    difference of two neighbors; the global donor pulls it toward
+    ``gbest_index``, with a difference of two members of the population. Each
+    donor is ``xi + alpha*(toward - xi) + beta*(p - q)``, in numpy's operation
+    order; the neighbors are drawn first."""
+    p, q = _draw_distinct(draw, neigh, (i,), 2)
+    p2, q2 = _draw_distinct(draw, range(len(xs)), (i,), 2)
     s = 1.0 - r
-    return [r * g + s * l for g, l in zip(glob, local)]
+    return [
+        r * (a + alpha * (g - a) + beta * (u2 - v2)) + s * (a + alpha * (t - a) + beta * (u - v))
+        for a, t, u, v, g, u2, v2 in zip(
+            xs[i], xs[local_best], xs[p], xs[q], xs[gbest_index], xs[p2], xs[q2]
+        )
+    ]
 
 
 def weight_r(iteration: int, max_iterations: int) -> float:
@@ -207,43 +212,47 @@ def clamp(trial, lo, up) -> list[float]:
     """Clip ``trial`` into the box [lo, up] as ``np.clip`` does: the larger of
     the value and ``lo`` (the value only if strictly larger), then the smaller
     of that and ``up`` (likewise), so signed zeros resolve the same way."""
-    raised = [v if v > lower else lower for v, lower in zip(trial, lo)]
-    return [v if v < upper else upper for v, upper in zip(raised, up)]
+    return [
+        w if (w := v if v > lower else lower) < upper else upper
+        for v, lower, upper in zip(trial, lo, up)
+    ]
 
 
 def block_draws(rng: np.random.Generator):
     """A ``draw`` callable handing out the uniforms of ``rng`` one at a time,
-    from blocks of ``BLOCK`` drawn with one ``rng.random(BLOCK)`` call each
-    when the previous block runs out, and a ``settle`` callable that rewinds
-    ``rng`` to just after the last uniform handed out, where one scalar
-    ``rng.random()`` per draw leaves it. Call ``settle`` in a ``finally``."""
-    size = BLOCK
-    last = [None, iter(())]  # the state before the latest block, its iterator
+    from blocks drawn with one ``rng.random(size)`` call each when the
+    previous block runs out, and a ``settle`` callable that rewinds ``rng``
+    to just after the last uniform handed out, where one scalar
+    ``rng.random()`` per draw leaves it. Call ``settle`` in a ``finally``.
+
+    The first block is small and each next one twice the size, up to
+    ``BLOCK``, so a short walk draws about what it uses."""
+    cap = BLOCK
+    last = [None, iter(()), 0]  # the state before the latest block, its iterator, its size
 
     def blocks():
+        size = min(FIRST_BLOCK, cap)
         while True:
-            last[0] = rng.bit_generator.state
-            last[1] = iter(rng.random(size).tolist())
+            last[:] = rng.bit_generator.state, iter(rng.random(size).tolist()), size
             yield last[1]
+            size = min(2 * size, cap)
 
     def settle() -> None:
         left = operator.length_hint(last[1])
         if left:
             rng.bit_generator.state = last[0]
-            rng.random(size - left)
+            rng.random(last[2] - left)
 
     # chain's C loop steps through a block; Python runs only per refill
     return itertools.chain.from_iterable(blocks()).__next__, settle
 
 
-def _elect(fit: np.ndarray, vio: np.ndarray, idx: np.ndarray):
-    """TOPSIS election over the (fitness, violation) pairs of the members in
-    ``idx``. A 1-D index set gives the population index of its best member; a
-    2-D array of rows gives one best index per row."""
-    entries = np.empty(idx.shape + (2,))
-    entries[..., 0] = fit[idx]
-    entries[..., 1] = vio[idx]
-    best = cost_closeness(entries).argmax(axis=-1)
+def _elect(pairs: np.ndarray, idx: np.ndarray):
+    """TOPSIS election over the rows of ``pairs``, the (fitness, violation)
+    pair of each population member, indexed by ``idx``. A 1-D index set gives
+    the population index of its best member; a 2-D array of rows gives one
+    best index per row."""
+    best = cost_closeness(pairs[idx]).argmax(axis=-1)
     return idx[best] if idx.ndim == 1 else idx[np.arange(len(idx)), best]
 
 
@@ -254,9 +263,9 @@ def choose_best(pop, indices, objective: ScalarObjective) -> int:
     idx = np.fromiter(indices, dtype=np.intp)
     if not len(idx):
         raise ValueError("cannot choose the best of an empty index set")
-    fit = np.array([objective.fitness(ind.eval) for ind in pop])
-    vio = np.array([ind.eval.violation for ind in pop])
-    return int(_elect(fit, vio, idx))
+    fit = [objective.fitness(ind.eval) for ind in pop]
+    vio = [ind.eval.violation for ind in pop]
+    return int(_elect(np.array((fit, vio)).T, idx))
 
 
 def run(problem, config: DEConfig, objective, rng, initial=None):
@@ -271,6 +280,7 @@ def run(problem, config: DEConfig, objective, rng, initial=None):
     evals = [ind.eval for ind in pop]
     fit = [objective.fitness(ev) for ev in evals]
     vio = [ev.violation for ev in evals]
+    keys = [deb_key(f, v) for f, v in zip(fit, vio)]
     lo = [float(v) for v in problem.lower_bounds]
     up = [float(v) for v in problem.upper_bounds]
     indices = np.arange(np_size)
@@ -285,10 +295,10 @@ def run(problem, config: DEConfig, objective, rng, initial=None):
             # best indices are frozen at generation start (slot updates within
             # the generation do not re-elect them)
             if variant != "rand1":
-                fit_a, vio_a = np.array(fit), np.array(vio)
-                gbest = int(_elect(fit_a, vio_a, indices))
+                pairs = np.array((fit, vio)).T
+                gbest = int(_elect(pairs, indices))
             if variant == "degl":
-                local_bests = _elect(fit_a, vio_a, neigh_rows).tolist()
+                local_bests = _elect(pairs, neigh_rows).tolist()
             for i in range(np_size):
                 if variant == "rand1":
                     donor = mutate_rand1(xs, i, F, draw)
@@ -302,8 +312,10 @@ def run(problem, config: DEConfig, objective, rng, initial=None):
                 trial = clamp(crossover(xs[i], donor, Cr, draw), lo, up)
                 ev = evaluate(problem, trial)
                 f_trial = objective.fitness(ev)
-                if deb_key(f_trial, ev.violation) < deb_key(fit[i], vio[i]):
+                key = deb_key(f_trial, ev.violation)
+                if key < keys[i]:
                     xs[i], evals[i], fit[i], vio[i] = trial, ev, f_trial, ev.violation
+                    keys[i] = key
     finally:
         settle()
     return [Individual(np.array(x), ev) for x, ev in zip(xs, evals)]

@@ -205,24 +205,29 @@ class TestCriterion3DE:
             for ind in pop:
                 assert problem.in_bounds(ind.x), (name, variant)
 
-    def test_combined_donor_endpoint_identities_exact(self):
+    def test_combined_donor_endpoint_identities_exact(self, monkeypatch):
         problem = benchmark("p1").problem
         rng = np.random.default_rng(8)
         pop = de_mod.init_population(problem, DEConfig(population_size=8), rng)
         objective = single_objective(0, 3)
+        x = np.array([ind.x for ind in pop])
+        xs = x.tolist()
+        alpha, beta, gbest = 0.8, 0.8, 0
         for i in range(8):
             neigh = de_mod._neighborhood(i, 2, len(pop))
-            kwargs = dict(
-                alpha=0.8, beta=0.8, neigh=neigh, gbest_index=0,
-                local_best=choose_best(pop, neigh, objective),
-            )
-            xs = [ind.x.tolist() for ind in pop]
-            draws = lambda: np.random.default_rng(i).random
-            local, glob = de_mod.local_global_donors(xs, i, draw=draws(), **kwargs)
-            at_zero = de_mod.mutate_degl(xs, i, r=0.0, draw=draws(), **kwargs)
-            at_one = de_mod.mutate_degl(xs, i, r=1.0, draw=draws(), **kwargs)
-            assert np.array_equal(at_zero, local)
-            assert np.array_equal(at_one, glob)
+            local_best = choose_best(pop, neigh, objective)
+            p, q = [j for j in neigh if j != i][:2]
+            p2, q2 = [j for j in range(8) if j != i][-2:]
+            picks = iter([[p, q], [p2, q2]] * 2)
+            monkeypatch.setattr(de_mod, "_draw_distinct", lambda *args: next(picks))
+            kwargs = dict(alpha=alpha, beta=beta, neigh=neigh, local_best=local_best,
+                          gbest_index=gbest, draw=None)
+            at_zero = de_mod.mutate_degl(xs, i, r=0.0, **kwargs)
+            at_one = de_mod.mutate_degl(xs, i, r=1.0, **kwargs)
+            local = x[i] + alpha * (x[local_best] - x[i]) + beta * (x[p] - x[q])
+            glob = x[i] + alpha * (x[gbest] - x[i]) + beta * (x[p2] - x[q2])
+            assert np.array(at_zero).tobytes() == local.tobytes()
+            assert np.array(at_one).tobytes() == glob.tobytes()
 
 
 def quad1d(center=0, lower=-50, upper=50):

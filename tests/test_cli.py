@@ -116,6 +116,18 @@ class TestUsageErrors:
         assert main(["solve", "--problem", "p3", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [('{"scale_factor": NaN}', "scale_factor"), ('{"alpha": Infinity}', "alpha"),
+         ('{"beta": -Infinity}', "beta")],
+    )
+    def test_non_finite_de_weight_exits_1(self, tmp_path, capsys, text, name):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", "--problem", "p1", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     def test_missing_config_file_exits_1(self, capsys):
         assert main(["solve", "--problem", "p3", "--config", "/no/such.json"]) == 1
 

@@ -14,7 +14,6 @@ from moits.de import (
     clamp,
     crossover,
     init_population,
-    local_global_donors,
     mutate_best,
     mutate_degl,
     mutate_rand1,
@@ -83,6 +82,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             DEConfig(variant="jde")
 
+    @pytest.mark.parametrize("name", ["scale_factor", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DEConfig(**{name: value})
+
 
 class TestInit:
     def test_degenerate_box(self):
@@ -139,16 +144,19 @@ class TestMutation:
         donor = mutate_best(rows(pop), 3, 0.5, gbest_index=2, draw=None, canonical=True)
         np.testing.assert_allclose(donor, [5.0, 5.0])
 
-    def test_degl_endpoints_exact(self):
+    def test_degl_endpoints_exact(self, monkeypatch):
         pop = make_pop([(i, 2 * i) for i in range(6)])
-        kwargs = dict(alpha=0.8, beta=0.8, gbest_index=0, **ring(pop, 2, 2))
-        local, glob = local_global_donors(
-            rows(pop), 2, draw=np.random.default_rng(7).random, **kwargs
-        )
-        v0 = mutate_degl(rows(pop), 2, r=0.0, draw=np.random.default_rng(7).random, **kwargs)
-        v1 = mutate_degl(rows(pop), 2, r=1.0, draw=np.random.default_rng(7).random, **kwargs)
-        assert np.array_equal(v0, local)
-        assert np.array_equal(v1, glob)
+        xs = rows(pop)
+        kwargs = dict(alpha=0.7, beta=0.4, gbest_index=5, **ring(pop, 2, 2))
+        picks = iter([[1, 3], [4, 0]] * 2)  # neighbors p, q, then members p2, q2
+        monkeypatch.setattr(de, "_draw_distinct", lambda draw, pool, excl, n: next(picks))
+        v0 = mutate_degl(xs, 2, r=0.0, draw=None, **kwargs)
+        v1 = mutate_degl(xs, 2, r=1.0, draw=None, **kwargs)
+        x = np.array(xs)
+        local = x[2] + 0.7 * (x[kwargs["local_best"]] - x[2]) + 0.4 * (x[1] - x[3])
+        glob = x[2] + 0.7 * (x[5] - x[2]) + 0.4 * (x[4] - x[0])
+        assert np.array(v0).tobytes() == local.tobytes()
+        assert np.array(v1).tobytes() == glob.tobytes()
 
     def test_degl_identical_population_is_fixed_point(self):
         pop = make_pop([(3, 4)] * 6)

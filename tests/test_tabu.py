@@ -221,6 +221,23 @@ class TestTabuSearch:
         problem = quad_problem()
         assert tabu_search((1, 1), 0, OBJ1, np.random.default_rng(0), problem=problem) == (1, 1)
 
+    def test_short_search_draws_fewer_than_a_block(self):
+        # a 100-move p2 search uses about 200 uniforms: the blocks start small
+        # and grow, so it draws far fewer than BLOCK, the rewind included
+        class CountingRng:
+            def __init__(self, rng):
+                self.bit_generator, self._random, self.drawn = rng.bit_generator, rng.random, 0
+
+            def random(self, size=None):
+                self.drawn += 1 if size is None else size
+                return self._random(size)
+
+        problem = benchmark("p2").problem
+        for seed in range(5):
+            rng = CountingRng(np.random.default_rng(seed))
+            tabu_search((3, 11), 100, single_objective(0, 3), rng, problem=problem)
+            assert 100 < rng.drawn < de.BLOCK
+
     def test_float_start_coerced_to_ints(self):
         problem = quad_problem()
         result = tabu_search((1.0, 1.0), 10, OBJ1, np.random.default_rng(0), problem=problem)

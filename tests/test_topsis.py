@@ -207,6 +207,6 @@ class TestProperties:
                 for f, v in zip(rng.integers(-3, 4, 10), violation)
             ]
             rows = np.array([rng.permutation(10)[:5] for _ in range(10)])
-            fit = np.array([objective.fitness(ind.eval) for ind in pop])
-            elected = de._elect(fit, violation, rows)
+            pairs = np.array([(objective.fitness(ind.eval), ind.eval.violation) for ind in pop])
+            elected = de._elect(pairs, rows)
             assert elected.tolist() == [choose_best(pop, row, objective) for row in rows]
