@@ -23,7 +23,7 @@ objective = single_objective(0, problem.n_objectives)
 
 for variant in ("rand1", "best", "degl"):
     config = DEConfig(variant=variant)
-    pop = run(problem, config, objective, np.random.default_rng(7))
+    pop = run(problem, config, objective, np.random.default_rng(7).random)
     best = pop[choose_best(pop, range(len(pop)), objective)]
     print(
         f"{variant:>6}: x = ({best.x[0]:.4f}, {best.x[1]:.4f})  "

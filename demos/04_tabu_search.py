@@ -18,14 +18,14 @@ from moits.tabu import stochastic_round, tabu_search
 
 problem = benchmark("p1").problem
 objective = single_objective(0, problem.n_objectives)
-rng = np.random.default_rng(4)
+draw = np.random.default_rng(4).random  # one uniform in [0, 1) per call
 
 continuous = (2.9495, 5.0)  # where the evolution stage converges (demo 03)
-rounded = stochastic_round(continuous, rng)
+rounded = stochastic_round(continuous, draw)
 print(f"continuous solution {continuous} rounds to {rounded}")
 
 visited: set = set()
-best = tabu_search(rounded, 200, objective, rng, problem=problem, visited=visited)
+best = tabu_search(rounded, 200, objective, draw, problem=problem, visited=visited)
 print(f"tabu search refines it to {best}")
 
 feasible = sorted(p for p in visited if problem.in_bounds(p))

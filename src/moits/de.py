@@ -21,14 +21,16 @@ member, numpy's per-call overhead costs more than the arithmetic. Each
 formula keeps numpy's operation order, and :func:`clamp` resolves ties as
 ``np.clip`` does, so the floats are the ones numpy computed;
 :func:`mutate_degl` builds ``r * global + (1 - r) * local`` in one pass over
-the coordinates. The primitives take a ``draw`` callable returning one
-uniform in [0, 1) (``rng.random`` works). :func:`run`, and tabu search, take
-them from :func:`block_draws`: blocks drawn with one ``rng.random(size)``
-call each, from ``FIRST_BLOCK`` uniforms doubling up to ``BLOCK``, and at
-the end a rewind of the generator to just after the last uniform used, so
-results and the generator's final state are those of one scalar
-``rng.random()`` per draw. ``Individual.x`` is an ndarray at the boundary of
+the coordinates. ``Individual.x`` is an ndarray at the boundary of
 :func:`run`; the TOPSIS elections run in numpy.
+
+Random draws: :func:`init_population`, :func:`run` and the primitives take a
+``draw`` callable returning one uniform in [0, 1); ``rng.random`` gives one
+scalar draw per call. A solve opens one :func:`block_draws` stream and passes
+its ``draw`` to every stage: uniforms come in blocks of ``BLOCK`` from one
+``rng.random(BLOCK)`` call each, and its ``settle`` rewinds the generator to
+just after the last uniform used, so results and the generator's final state
+are those of one scalar ``rng.random()`` per draw.
 
 The engine optimizes one scalarized fitness at a time; a
 :class:`ScalarObjective` maps a cached evaluation to that scalar, which lets
@@ -68,8 +70,7 @@ __all__ = [
 
 VARIANTS = ("rand1", "best", "degl")
 
-# uniforms in the first and the largest block of draws (see block_draws)
-FIRST_BLOCK = 32
+# uniforms per block of draws (see block_draws)
 BLOCK = 1024
 
 
@@ -135,13 +136,13 @@ def single_objective(index: int, n_objectives: int, negate: bool = False) -> Sca
     return ScalarObjective(f"min_f{index}", lambda f: f[index])
 
 
-def init_population(problem: Problem, config: DEConfig, rng: np.random.Generator):
-    """Uniform sample of the box: x_ij = l_j + U(0,1) * (u_j - l_j)."""
-    lo = np.asarray(problem.lower_bounds, dtype=float)
-    up = np.asarray(problem.upper_bounds, dtype=float)
-    draws = rng.random((config.population_size, problem.dimension))
-    xs = lo + draws * (up - lo)
-    return [Individual(x, evaluate(problem, x.tolist())) for x in xs]
+def init_population(problem: Problem, config: DEConfig, draw):
+    """Uniform sample of the box: x_ij = l_j + U(0,1) * (u_j - l_j), drawn
+    member by member, the floats of ``lo + rng.random((P, d)) * (up - lo)``."""
+    box = [(float(lo), float(up) - float(lo))
+           for lo, up in zip(problem.lower_bounds, problem.upper_bounds)]
+    xs = [[lo + draw() * width for lo, width in box] for _ in range(config.population_size)]
+    return [Individual(np.array(x), evaluate(problem, x)) for x in xs]
 
 
 def _draw_distinct(draw, pool: Sequence[int], exclude, count: int):
@@ -220,28 +221,23 @@ def clamp(trial, lo, up) -> list[float]:
 
 def block_draws(rng: np.random.Generator):
     """A ``draw`` callable handing out the uniforms of ``rng`` one at a time,
-    from blocks drawn with one ``rng.random(size)`` call each when the
-    previous block runs out, and a ``settle`` callable that rewinds ``rng``
-    to just after the last uniform handed out, where one scalar
-    ``rng.random()`` per draw leaves it. Call ``settle`` in a ``finally``.
-
-    The first block is small and each next one twice the size, up to
-    ``BLOCK``, so a short walk draws about what it uses."""
-    cap = BLOCK
-    last = [None, iter(()), 0]  # the state before the latest block, its iterator, its size
+    from blocks of ``BLOCK`` drawn with one ``rng.random(BLOCK)`` call each
+    when the previous block runs out, and a ``settle`` callable that rewinds
+    ``rng`` to just after the last uniform handed out, where one scalar
+    ``rng.random()`` per draw leaves it. Call ``settle`` in a ``finally``."""
+    size = BLOCK
+    last = [None, iter(())]  # the state before the latest block, its iterator
 
     def blocks():
-        size = min(FIRST_BLOCK, cap)
         while True:
-            last[:] = rng.bit_generator.state, iter(rng.random(size).tolist()), size
+            last[:] = rng.bit_generator.state, iter(rng.random(size).tolist())
             yield last[1]
-            size = min(2 * size, cap)
 
     def settle() -> None:
         left = operator.length_hint(last[1])
         if left:
             rng.bit_generator.state = last[0]
-            rng.random(last[2] - left)
+            rng.random(size - left)
 
     # chain's C loop steps through a block; Python runs only per refill
     return itertools.chain.from_iterable(blocks()).__next__, settle
@@ -268,13 +264,13 @@ def choose_best(pop, indices, objective: ScalarObjective) -> int:
     return int(_elect(np.array((fit, vio)).T, idx))
 
 
-def run(problem, config: DEConfig, objective, rng, initial=None):
+def run(problem, config: DEConfig, objective, draw, initial=None):
     """Evolve for ``max_iterations`` generations and return the final population.
 
     Population slots are updated in place within a generation (later mutations
-    see earlier replacements); the run is deterministic given the rng state.
+    see earlier replacements); the run is deterministic given the draws.
     """
-    pop = list(initial) if initial is not None else init_population(problem, config, rng)
+    pop = list(initial) if initial is not None else init_population(problem, config, draw)
     np_size = len(pop)
     xs = [ind.x.tolist() for ind in pop]
     evals = [ind.eval for ind in pop]
@@ -288,34 +284,30 @@ def run(problem, config: DEConfig, objective, rng, initial=None):
     if variant == "degl":
         neigh_lists = [_neighborhood(i, config.neighborhood_k, np_size) for i in range(np_size)]
         neigh_rows = np.array(neigh_lists)
-    draw, settle = block_draws(rng)
-    try:
-        for iteration in range(1, config.max_iterations + 1):
-            r = weight_r(iteration, config.max_iterations)
-            # best indices are frozen at generation start (slot updates within
-            # the generation do not re-elect them)
-            if variant != "rand1":
-                pairs = np.array((fit, vio)).T
-                gbest = int(_elect(pairs, indices))
-            if variant == "degl":
-                local_bests = _elect(pairs, neigh_rows).tolist()
-            for i in range(np_size):
-                if variant == "rand1":
-                    donor = mutate_rand1(xs, i, F, draw)
-                elif variant == "best":
-                    donor = mutate_best(xs, i, F, gbest, draw, config.canonical_best)
-                else:
-                    donor = mutate_degl(
-                        xs, i, config.alpha, config.beta, r,
-                        neigh_lists[i], local_bests[i], gbest, draw,
-                    )
-                trial = clamp(crossover(xs[i], donor, Cr, draw), lo, up)
-                ev = evaluate(problem, trial)
-                f_trial = objective.fitness(ev)
-                key = deb_key(f_trial, ev.violation)
-                if key < keys[i]:
-                    xs[i], evals[i], fit[i], vio[i] = trial, ev, f_trial, ev.violation
-                    keys[i] = key
-    finally:
-        settle()
+    for iteration in range(1, config.max_iterations + 1):
+        r = weight_r(iteration, config.max_iterations)
+        # best indices are frozen at generation start (slot updates within
+        # the generation do not re-elect them)
+        if variant != "rand1":
+            pairs = np.array((fit, vio)).T
+            gbest = int(_elect(pairs, indices))
+        if variant == "degl":
+            local_bests = _elect(pairs, neigh_rows).tolist()
+        for i in range(np_size):
+            if variant == "rand1":
+                donor = mutate_rand1(xs, i, F, draw)
+            elif variant == "best":
+                donor = mutate_best(xs, i, F, gbest, draw, config.canonical_best)
+            else:
+                donor = mutate_degl(
+                    xs, i, config.alpha, config.beta, r,
+                    neigh_lists[i], local_bests[i], gbest, draw,
+                )
+            trial = clamp(crossover(xs[i], donor, Cr, draw), lo, up)
+            ev = evaluate(problem, trial)
+            f_trial = objective.fitness(ev)
+            key = deb_key(f_trial, ev.violation)
+            if key < keys[i]:
+                xs[i], evals[i], fit[i], vio[i] = trial, ev, f_trial, ev.violation
+                keys[i] = key
     return [Individual(np.array(x), ev) for x, ev in zip(xs, evals)]

@@ -123,13 +123,13 @@ def _stage_de_config(config: HybridConfig) -> de.DEConfig:
     return replace(config.de, variant="degl")
 
 
-def _run_best(problem_k, de_config, objective, rng):
-    pop = de.run(problem_k, de_config, objective, rng)
+def _run_best(problem_k, de_config, objective, draw):
+    pop = de.run(problem_k, de_config, objective, draw)
     best = de.choose_best(pop, range(len(pop)), objective)
     return pop[best]
 
 
-def stage1_anchors(problem_k: Problem, config: HybridConfig, rng):
+def stage1_anchors(problem_k: Problem, config: HybridConfig, draw):
     """Ideal and anti-ideal value of every objective via one minimizing and one
     maximizing evolution run each.
 
@@ -146,9 +146,9 @@ def stage1_anchors(problem_k: Problem, config: HybridConfig, rng):
             f_star.append(0.0)
             f_minus.append(0.0)
             continue
-        low = _run_best(problem_k, cfg, de.single_objective(j, k), rng)
+        low = _run_best(problem_k, cfg, de.single_objective(j, k), draw)
         f_star.append(low.eval.objectives_min[j])
-        high = _run_best(problem_k, cfg, de.single_objective(j, k, negate=True), rng)
+        high = _run_best(problem_k, cfg, de.single_objective(j, k, negate=True), draw)
         f_minus.append(high.eval.objectives_min[j])
         feasible_seen = feasible_seen or 0.0 in (low.eval.violation, high.eval.violation)
     return tuple(f_star), tuple(f_minus)
@@ -180,24 +180,23 @@ def build_anchor_frame(f_star, f_minus) -> CompromiseAnchors:
     )
 
 
-def d_pis(values, anchors: CompromiseAnchors) -> float:
-    """Weighted normalized distance of an objective vector to the ideal point."""
+def _distance(values, reference, anchors: CompromiseAnchors) -> float:
+    # (a - b)**2 == (b - a)**2 in IEEE arithmetic, so the side is immaterial
     total = 0.0
-    f_star = anchors.f_star
     for j, coef in anchors._coefs:
-        diff = values[j] - f_star[j]
+        diff = values[j] - reference[j]
         total += coef * diff * diff
     return math.sqrt(total)
+
+
+def d_pis(values, anchors: CompromiseAnchors) -> float:
+    """Weighted normalized distance of an objective vector to the ideal point."""
+    return _distance(values, anchors.f_star, anchors)
 
 
 def d_nis(values, anchors: CompromiseAnchors) -> float:
     """Weighted normalized distance of an objective vector to the anti-ideal point."""
-    total = 0.0
-    f_minus = anchors.f_minus
-    for j, coef in anchors._coefs:
-        diff = f_minus[j] - values[j]
-        total += coef * diff * diff
-    return math.sqrt(total)
+    return _distance(values, anchors.f_minus, anchors)
 
 
 def d_pis_objective(anchors) -> de.ScalarObjective:
@@ -208,13 +207,13 @@ def d_nis_max_objective(anchors) -> de.ScalarObjective:
     return de.ScalarObjective("max_d_nis", lambda f: -d_nis(f, anchors))
 
 
-def stage2_anchors(problem_k, frame: CompromiseAnchors, config: HybridConfig, rng):
+def stage2_anchors(problem_k, frame: CompromiseAnchors, config: HybridConfig, draw):
     """Locate the distance extremes: the point closest to the ideal, the point
     farthest from the anti-ideal, and each distance evaluated at the other's
     solution."""
     cfg = _stage_de_config(config)
-    best_p = _run_best(problem_k, cfg, d_pis_objective(frame), rng)
-    best_n = _run_best(problem_k, cfg, d_nis_max_objective(frame), rng)
+    best_p = _run_best(problem_k, cfg, d_pis_objective(frame), draw)
+    best_n = _run_best(problem_k, cfg, d_nis_max_objective(frame), draw)
     fp = best_p.eval.objectives_min
     fn = best_n.eval.objectives_min
     return replace(
@@ -318,7 +317,7 @@ def stage3_alternate(
     d_original: int,
     anchors: CompromiseAnchors,
     config: HybridConfig,
-    rng,
+    draw,
 ) -> SolutionArchive:
     """Alternate evolution on the satisfaction level with tabu refinement.
 
@@ -330,17 +329,17 @@ def stage3_alternate(
     """
     objective = maxmin_objective(anchors)
     evaluator = tabu.CachedEvaluator(problem_k, objective)
-    pop = de.init_population(problem_k, config.de, rng)
+    pop = de.init_population(problem_k, config.de, draw)
     visited: set = set()
     for _ in range(config.alternations):
-        pop = de.run(problem_k, config.de, objective, rng, initial=pop)
+        pop = de.run(problem_k, config.de, objective, draw, initial=pop)
         for i, member in enumerate(pop):
-            rounded = tabu.stochastic_round(member.x, rng)
+            rounded = tabu.stochastic_round(member.x, draw)
             refined = tabu.tabu_search(
                 rounded,
                 config.ts_iterations,
                 objective,
-                rng,
+                draw,
                 evaluator=evaluator,
                 literal_diversification=config.literal_diversification,
                 visited=visited,
@@ -358,22 +357,27 @@ def stage3_alternate(
     return archive
 
 
-def compute_anchors(problem: Problem, config: HybridConfig, rng):
+def compute_anchors(problem: Problem, config: HybridConfig, draw):
     """Stages 1 and 2 on the violation-augmented problem."""
     problem_k = augment_with_violation(problem)
     if config.oracle_anchors:
         f_star, f_minus = oracle_anchor_values(problem_k)
     else:
-        f_star, f_minus = stage1_anchors(problem_k, config, rng)
+        f_star, f_minus = stage1_anchors(problem_k, config, draw)
     frame = build_anchor_frame(f_star, f_minus)
-    return problem_k, stage2_anchors(problem_k, frame, config, rng)
+    return problem_k, stage2_anchors(problem_k, frame, config, draw)
 
 
 def solve(problem: Problem, config: HybridConfig, rng) -> SolutionArchive:
-    """One full run: anchors, then the alternating stage-3 search.
+    """One full run: anchors, then the alternating stage-3 search, all drawing
+    from one :func:`moits.de.block_draws` stream on ``rng``, settled at the end.
 
     Returns the finalized archive; its ``anchors`` attribute holds the
     completed anchors for reporting.
     """
-    problem_k, anchors = compute_anchors(problem, config, rng)
-    return stage3_alternate(problem_k, problem.n_objectives, anchors, config, rng)
+    draw, settle = de.block_draws(rng)
+    try:
+        problem_k, anchors = compute_anchors(problem, config, draw)
+        return stage3_alternate(problem_k, problem.n_objectives, anchors, config, draw)
+    finally:
+        settle()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,7 +65,10 @@ class Problem:
                 raise ValueError(f"unknown objective sense {sense!r}")
         if len(self.lower_bounds) != self.dimension or len(self.upper_bounds) != self.dimension:
             raise ValueError("bounds length must equal dimension")
-        for lo, up in zip(self.lower_bounds, self.upper_bounds):
+        for j, (lo, up) in enumerate(zip(self.lower_bounds, self.upper_bounds)):
+            for side, bound in (("lower", lo), ("upper", up)):
+                if not isinstance(bound, numbers.Integral):
+                    raise ValueError(f"{side} bound {bound!r} of variable {j} is not an integer")
             if lo > up:
                 raise ValueError(f"lower bound {lo} exceeds upper bound {up}")
 

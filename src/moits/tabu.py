@@ -30,20 +30,19 @@ aspiration level kept current inside the call, and appends each landing to a
 path. The search's best point is the first landing with the least key, which
 is what a strict ``<`` update after every move picks.
 
-Random draws: a move takes one uniform per variable when it scans and two
-when it kicks, from :func:`moits.de.block_draws`, so the walk and the
-generator's final state are those of one scalar ``rng.random()`` per draw.
+Random draws: rounding and the walk take a ``draw`` callable returning one
+uniform in [0, 1), the solve's one stream (see :mod:`moits.de`) or
+``rng.random``. Rounding takes one uniform per component; a move takes one
+per variable when it scans and two when it kicks.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import de
 from .problems import Evaluation, Problem, deb_key, evaluate
 
 __all__ = ["TabuState", "CachedEvaluator", "stochastic_round", "tabu_move", "tabu_search"]
@@ -135,13 +134,13 @@ class CachedEvaluator:
         return k
 
 
-def stochastic_round(x, rng: np.random.Generator) -> tuple[int, ...]:
+def stochastic_round(x, draw: Callable[[], float]) -> tuple[int, ...]:
     """Round each component up with probability equal to its fractional part."""
     out = []
     for v in x:
-        base = int(np.floor(v))
+        base = math.floor(v)
         frac = v - base
-        out.append(base + 1 if rng.random() < frac else base)
+        out.append(base + 1 if draw() < frac else base)
     return tuple(out)
 
 
@@ -215,7 +214,7 @@ def tabu_search(
     x0,
     iterations: int,
     objective,
-    rng: np.random.Generator,
+    draw: Callable[[], float],
     problem: Problem | None = None,
     evaluator: CachedEvaluator | None = None,
     literal_diversification: bool = True,
@@ -238,12 +237,8 @@ def tabu_search(
     i = evaluator.index(tuple(int(v) for v in x0))
     path = [i]
     if iterations > 0:  # tabu_move reads the start's key even for no moves
-        draw, settle = de.block_draws(rng)
-        try:
-            tabu_move(i, i, 1, TabuState.fresh(evaluator.problem.dimension), evaluator, draw,
-                      literal_diversification, iterations, path)
-        finally:
-            settle()
+        tabu_move(i, i, 1, TabuState.fresh(evaluator.problem.dimension), evaluator, draw,
+                  literal_diversification, iterations, path)
         i = min(path, key=evaluator._keys.__getitem__)  # the first of the least keys
     if visited is not None:
         visited.update(map(evaluator.point, set(path)))

@@ -185,11 +185,11 @@ class TestCriterion3DE:
             for j in range(problem.n_objectives):
                 objective = single_objective(j, problem.n_objectives)
                 cfg = DEConfig(population_size=10, max_iterations=1, variant="degl")
-                rng = np.random.default_rng(MASTER_SEED + j)
-                pop = de_mod.init_population(problem, cfg, rng)
+                draw = np.random.default_rng(MASTER_SEED + j).random
+                pop = de_mod.init_population(problem, cfg, draw)
                 last = None
                 for _ in range(100):
-                    pop = run(problem, cfg, objective, rng, initial=pop)
+                    pop = run(problem, cfg, objective, draw, initial=pop)
                     best = pop[choose_best(pop, range(len(pop)), objective)]
                     key = deb_key(objective.fitness(best.eval), best.eval.violation)
                     assert last is None or key <= last, (name, j)
@@ -201,14 +201,14 @@ class TestCriterion3DE:
             problem = benchmark(name).problem
             cfg = DEConfig(population_size=8, max_iterations=25, variant=variant)
             objective = single_objective(0, problem.n_objectives)
-            pop = run(problem, cfg, objective, np.random.default_rng(1))
+            pop = run(problem, cfg, objective, np.random.default_rng(1).random)
             for ind in pop:
                 assert problem.in_bounds(ind.x), (name, variant)
 
     def test_combined_donor_endpoint_identities_exact(self, monkeypatch):
         problem = benchmark("p1").problem
-        rng = np.random.default_rng(8)
-        pop = de_mod.init_population(problem, DEConfig(population_size=8), rng)
+        draw = np.random.default_rng(8).random
+        pop = de_mod.init_population(problem, DEConfig(population_size=8), draw)
         objective = single_objective(0, 3)
         x = np.array([ind.x for ind in pop])
         xs = x.tolist()
@@ -246,7 +246,7 @@ class TestCriterion3Tabu:
     def test_stochastic_rounding_unbiased_100k_draws(self):
         rng = np.random.default_rng(MASTER_SEED)
         draws = 100_000
-        total = sum(stochastic_round([2.25], rng)[0] for _ in range(draws))
+        total = sum(stochastic_round([2.25], rng.random)[0] for _ in range(draws))
         mean = total / draws
         sigma = np.sqrt(0.25 * 0.75 / draws)
         assert abs(mean - 2.25) < 3 * sigma
@@ -309,7 +309,7 @@ class TestCriterion3Tabu:
             problem = quad1d(center)
             for start in (-50, 50):
                 result = tabu_search(
-                    (start,), 500, objective, np.random.default_rng(3), problem=problem
+                    (start,), 500, objective, np.random.default_rng(3).random, problem=problem
                 )
                 assert result == (center,), (center, start)
 
@@ -318,7 +318,7 @@ class TestCriterion3Hybrid:
     def test_membership_endpoint_identities(self):
         problem = benchmark("p1").problem
         config = HybridConfig(oracle_anchors=True)
-        problem_k, anchors = compute_anchors(problem, config, np.random.default_rng(2))
+        problem_k, anchors = compute_anchors(problem, config, np.random.default_rng(2).random)
         assert not anchors.mu1_degenerate and not anchors.mu2_degenerate
         fp = evaluate(problem_k, anchors.x_p).objectives_min
         fn = evaluate(problem_k, anchors.x_n).objectives_min

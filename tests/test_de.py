@@ -92,24 +92,21 @@ class TestConfig:
 class TestInit:
     def test_degenerate_box(self):
         problem = box_problem((3, 3), (3, 3))
-        pop = init_population(problem, DEConfig(population_size=5), np.random.default_rng(0))
+        draw = np.random.default_rng(0).random
+        pop = init_population(problem, DEConfig(population_size=5), draw)
         for ind in pop:
             assert ind.x.tolist() == [3.0, 3.0]
 
     def test_formula_with_constant_draws(self):
-        class HalfRng:
-            def random(self, size=None):
-                return np.full(size, 0.5)
-
         problem = box_problem((0, 0), (1, 1))
-        pop = init_population(problem, DEConfig(population_size=4, neighborhood_k=1), HalfRng())
+        pop = init_population(problem, DEConfig(population_size=4, neighborhood_k=1), lambda: 0.5)
         for ind in pop:
             assert ind.x.tolist() == [0.5, 0.5]
 
     def test_all_individuals_inside_p1_box(self):
         problem = benchmark("p1").problem
         for seed in range(30):
-            pop = init_population(problem, DEConfig(), np.random.default_rng(seed))
+            pop = init_population(problem, DEConfig(), np.random.default_rng(seed).random)
             for ind in pop:
                 assert problem.in_bounds(ind.x)
 
@@ -279,7 +276,7 @@ class TestRun:
         obj = single_objective(0, 3)
         cfg = DEConfig(variant=variant, **self.CFG)
         pops = [
-            run(problem, cfg, obj, np.random.default_rng(123)) for _ in range(2)
+            run(problem, cfg, obj, np.random.default_rng(123).random) for _ in range(2)
         ]
         for a, b in zip(*pops):
             assert np.array_equal(a.x, b.x)
@@ -289,14 +286,14 @@ class TestRun:
     def test_box_containment(self, variant):
         problem = benchmark("p3").problem
         cfg = DEConfig(variant=variant, **self.CFG)
-        pop = run(problem, cfg, single_objective(1, 2), np.random.default_rng(5))
+        pop = run(problem, cfg, single_objective(1, 2), np.random.default_rng(5).random)
         for ind in pop:
             assert problem.in_bounds(ind.x)
 
     def test_zero_width_box_keeps_population(self):
         problem = box_problem((2, 2), (2, 2))
         cfg = DEConfig(population_size=6, max_iterations=5, neighborhood_k=1)
-        pop = run(problem, cfg, OBJ1, np.random.default_rng(0))
+        pop = run(problem, cfg, OBJ1, np.random.default_rng(0).random)
         for ind in pop:
             assert ind.x.tolist() == [2.0, 2.0]
 
@@ -308,7 +305,7 @@ class TestRun:
 
         monkeypatch.setattr(de, "_elect", boom)
         cfg = DEConfig(variant="rand1", population_size=8, max_iterations=3)
-        run(problem, cfg, single_objective(0, 3), np.random.default_rng(0))
+        run(problem, cfg, single_objective(0, 3), np.random.default_rng(0).random)
 
     @pytest.mark.parametrize("variant", ["rand1", "best", "degl"])
     def test_run_composes_its_primitives(self, variant, monkeypatch):
@@ -326,7 +323,7 @@ class TestRun:
         for name in ("mutate_rand1", "mutate_best", "mutate_degl", "crossover", "clamp"):
             spy(name)
         cfg = DEConfig(variant=variant, **self.CFG)
-        run(benchmark("p1").problem, cfg, single_objective(0, 3), np.random.default_rng(0))
+        run(benchmark("p1").problem, cfg, single_objective(0, 3), np.random.default_rng(0).random)
         steps = cfg.population_size * cfg.max_iterations
         assert calls == {f"mutate_{variant}": steps, "crossover": steps, "clamp": steps}
 
@@ -335,11 +332,11 @@ class TestRun:
         problem = benchmark(name).problem
         obj = single_objective(0, problem.n_objectives)
         cfg = DEConfig(population_size=10, max_iterations=1, variant="degl")
-        rng = np.random.default_rng(11)
-        pop = de.init_population(problem, cfg, rng)
+        draw = np.random.default_rng(11).random
+        pop = de.init_population(problem, cfg, draw)
         last = None
         for _ in range(100):
-            pop = run(problem, cfg, obj, rng, initial=pop)
+            pop = run(problem, cfg, obj, draw, initial=pop)
             best = choose_best(pop, range(len(pop)), obj)
             key = deb_key(obj.fitness(pop[best].eval), pop[best].eval.violation)
             assert last is None or key <= last
@@ -357,7 +354,7 @@ class TestRun:
         problem = benchmark("p1").problem
         hits = 0
         for seed in range(20):
-            pop = run(problem, DEConfig(variant="degl"), obj, np.random.default_rng(seed))
+            pop = run(problem, DEConfig(variant="degl"), obj, np.random.default_rng(seed).random)
             best = pop[choose_best(pop, range(len(pop)), obj)]
             assert best.eval.violation == 0.0
             if np.linalg.norm(best.x - target) <= 1e-3:
@@ -371,7 +368,7 @@ class TestRun:
         lattice_best = min(
             e.objectives_min[0] for _, e in feasible_lattice(problem)
         )
-        pop = run(problem, DEConfig(variant="degl"), obj, np.random.default_rng(3))
+        pop = run(problem, DEConfig(variant="degl"), obj, np.random.default_rng(3).random)
         best = pop[choose_best(pop, range(len(pop)), obj)]
         assert best.eval.objectives_min[0] <= lattice_best
 
@@ -437,8 +434,17 @@ def _reference_elect(fit, vio, idx):
     return idx[best] if idx.ndim == 1 else idx[np.arange(len(idx)), best]
 
 
+def _reference_init_population(problem, config, rng):
+    lo = np.asarray(problem.lower_bounds, dtype=float)
+    up = np.asarray(problem.upper_bounds, dtype=float)
+    xs = lo + rng.random((config.population_size, problem.dimension)) * (up - lo)
+    return [Individual(x, evaluate(problem, x.tolist())) for x in xs]
+
+
 def _reference_run(problem, config, objective, rng, initial=None):
-    pop = list(initial) if initial is not None else init_population(problem, config, rng)
+    if initial is None:
+        initial = _reference_init_population(problem, config, rng)
+    pop = list(initial)
     np_size = len(pop)
     fit = np.array([objective.fitness(ind.eval) for ind in pop])
     vio = np.array([ind.eval.violation for ind in pop])
@@ -532,12 +538,18 @@ class TestKernelMatchesReference:
         objective = single_objective(objective_index, 2)
         kernel, reference = _LoggedProblem(lower, upper, center), _LoggedProblem(lower, upper, center)
         kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        kernel_start = reference_start = None
-        if initial:
-            kernel_start = init_population(kernel.problem, config, kernel_rng)
-            reference_start = init_population(reference.problem, config, reference_rng)
+        # one stream for the start and the run, as in stage 3; small blocks put
+        # refills and the final rewind at every position of a run
         with mock.patch.object(de, "BLOCK", block):
-            pop = run(kernel.problem, config, objective, kernel_rng, initial=kernel_start)
+            draw, settle = de.block_draws(kernel_rng)
+        try:
+            kernel_start = init_population(kernel.problem, config, draw) if initial else None
+            pop = run(kernel.problem, config, objective, draw, initial=kernel_start)
+        finally:
+            settle()
+        reference_start = None
+        if initial:
+            reference_start = _reference_init_population(reference.problem, config, reference_rng)
         expected = _reference_run(
             reference.problem, config, objective, reference_rng, initial=reference_start
         )
@@ -553,7 +565,11 @@ class TestKernelMatchesReference:
         config = DEConfig(variant=variant, max_iterations=30)
         objective = single_objective(0, problem.n_objectives)
         kernel_rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
-        pop = run(problem, config, objective, kernel_rng)
+        draw, settle = de.block_draws(kernel_rng)
+        try:
+            pop = run(problem, config, objective, draw)
+        finally:
+            settle()
         expected = _reference_run(problem, config, objective, reference_rng)
         assert [ind.x.tobytes() for ind in pop] == [ind.x.tobytes() for ind in expected]
         assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state

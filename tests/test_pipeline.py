@@ -224,7 +224,7 @@ class TestOracleAnchors:
         problem = augment_with_violation(benchmark("p3").problem)
         oracle_star, oracle_minus = oracle_anchor_values(problem)
         cfg = HybridConfig(de=DEConfig(variant="degl"))
-        f_star, f_minus = stage1_anchors(problem, cfg, np.random.default_rng(0))
+        f_star, f_minus = stage1_anchors(problem, cfg, np.random.default_rng(0).random)
         eps = 1e-9
         for j in range(problem.n_objectives):
             assert f_star[j] <= oracle_star[j] + eps
@@ -278,7 +278,7 @@ class TestStage1Violation:
     def test_feasible_benchmark_skips_violation_runs(self, name, de_runs):
         problem = benchmark(name).problem
         f_star, f_minus = stage1_anchors(
-            augment_with_violation(problem), STAGE1, np.random.default_rng(0)
+            augment_with_violation(problem), STAGE1, np.random.default_rng(0).random
         )
         d = problem.n_objectives
         assert de_runs == [f"{sense}_f{j}" for j in range(d) for sense in ("min", "max")]
@@ -295,7 +295,7 @@ class TestStage1Violation:
             name="never-feasible",
         )
         f_star, f_minus = stage1_anchors(
-            augment_with_violation(problem), STAGE1, np.random.default_rng(0)
+            augment_with_violation(problem), STAGE1, np.random.default_rng(0).random
         )
         assert de_runs == ["min_f0", "max_f0", "min_f1", "max_f1"]
         assert f_star[-1] > 0.0
@@ -305,14 +305,15 @@ class TestStage1Violation:
         config = HybridConfig(
             de=DEConfig(variant=variant, max_iterations=20), alternations=2, ts_iterations=1000
         )
-        _, anchors = compute_anchors(benchmark(name).problem, config, np.random.default_rng(1))
+        draw = np.random.default_rng(1).random
+        _, anchors = compute_anchors(benchmark(name).problem, config, draw)
         assert (repr(anchors.f_star), repr(anchors.f_minus)) == STAGE1_PINS[name, variant]
 
 
 class TestComputeAnchors:
     def test_violation_objective_dropped_with_renormalized_weights(self):
         problem = benchmark("p1").problem
-        problem_k, anchors = compute_anchors(problem, SMALL, np.random.default_rng(0))
+        problem_k, anchors = compute_anchors(problem, SMALL, np.random.default_rng(0).random)
         assert problem_k.n_objectives == 4
         assert 3 in anchors.dropped
         assert anchors.active == (0, 1, 2)
@@ -320,7 +321,7 @@ class TestComputeAnchors:
 
     def test_distance_extremes_ordered(self):
         problem = benchmark("p3").problem
-        _, anchors = compute_anchors(problem, SMALL, np.random.default_rng(1))
+        _, anchors = compute_anchors(problem, SMALL, np.random.default_rng(1).random)
         assert anchors.d_pis_star <= anchors.d_pis_prime + 1e-12
         assert anchors.d_nis_star >= anchors.d_nis_prime - 1e-12
         assert len(anchors.x_p) == len(anchors.x_n) == 2

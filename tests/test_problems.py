@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -243,3 +245,18 @@ class TestProblemValidation:
     def test_needs_objective(self):
         with pytest.raises(ValueError):
             make_problem([])
+
+    @pytest.mark.parametrize("lower, upper, named", [
+        ((0.0, 0.0), (4.5, 4.0), "lower bound 0.0 of variable 0"),
+        ((0, 0), (4.5, 4), "upper bound 4.5 of variable 0"),
+        ((0, 0), (4, 4.0), "upper bound 4.0 of variable 1"),
+        ((0, "1"), (4, 4), "lower bound '1' of variable 1"),
+    ])
+    def test_non_integer_bound_named(self, lower, upper, named):
+        # a float bound would make lattice_size a float and break the lattice index
+        with pytest.raises(ValueError, match=re.escape(f"{named} is not an integer")):
+            make_problem([(lambda x: x[0], "min")], lower=lower, upper=upper)
+
+    def test_numpy_integer_bounds_accepted(self):
+        problem = make_problem([(lambda x: x[0], "min")], lower=(np.int64(0), 0), upper=(4, 4))
+        assert problem.lattice_size() == 25

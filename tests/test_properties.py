@@ -80,9 +80,9 @@ class TestRunProperties:
         objective = single_objective(objective_index % problem.n_objectives,
                                      problem.n_objectives)
         config = DEConfig(population_size=8, max_iterations=6, variant=variant)
-        rng = np.random.default_rng(seed)
-        start = init_population(problem, config, rng)
-        pop = run(problem, config, objective, rng, initial=start)
+        draw = np.random.default_rng(seed).random
+        start = init_population(problem, config, draw)
+        pop = run(problem, config, objective, draw, initial=start)
         assert len(pop) == len(start)
         for before, after in zip(start, pop):
             assert problem.in_bounds(after.x)

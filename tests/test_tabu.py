@@ -38,20 +38,20 @@ def quad_problem(lower=(-5, -5), upper=(5, 5), center=(2, -3)):
 class TestStochasticRound:
     def test_integers_pass_through(self):
         rng = np.random.default_rng(0)
-        assert stochastic_round([3.0, -2.0], rng) == (3, -2)
+        assert stochastic_round([3.0, -2.0], rng.random) == (3, -2)
 
     def test_result_brackets_input(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             v = rng.uniform(-10, 10)
-            (r,) = stochastic_round([v], rng)
+            (r,) = stochastic_round([v], rng.random)
             assert r in (int(np.floor(v)), int(np.floor(v)) + 1)
 
     def test_unbiased_mean(self):
         # 2.25 rounds up a quarter of the time: mean 2.25, sd 0.25/sqrt(N)
         rng = np.random.default_rng(42)
         draws = 100_000
-        total = sum(stochastic_round([2.25], rng)[0] for _ in range(draws))
+        total = sum(stochastic_round([2.25], rng.random)[0] for _ in range(draws))
         mean = total / draws
         sigma = np.sqrt(0.25 * 0.75 / draws)
         assert abs(mean - 2.25) < 3 * sigma
@@ -59,7 +59,7 @@ class TestStochasticRound:
 
     def test_negative_fraction(self):
         rng = np.random.default_rng(2)
-        (r,) = stochastic_round([-1.75], rng)
+        (r,) = stochastic_round([-1.75], rng.random)
         assert r in (-2, -1)
 
 
@@ -90,11 +90,11 @@ class TestCachedEvaluator:
         ev = CachedEvaluator(quad_problem(), OBJ1)
         other = single_objective(0, 1, negate=True)
         with pytest.raises(ValueError, match="different objective"):
-            tabu_search((0, 0), 5, other, np.random.default_rng(0), evaluator=ev)
+            tabu_search((0, 0), 5, other, np.random.default_rng(0).random, evaluator=ev)
 
     def test_search_requires_problem_or_evaluator(self):
         with pytest.raises(ValueError):
-            tabu_search((0, 0), 5, OBJ1, np.random.default_rng(0))
+            tabu_search((0, 0), 5, OBJ1, np.random.default_rng(0).random)
 
 
 def move(x, x_star, k, state, evaluator, rng, literal_diversification=True):
@@ -175,7 +175,7 @@ class TestTabuMove:
 class TestTabuSearch:
     def test_finds_unconstrained_quadratic_minimum(self):
         problem = quad_problem()
-        result = tabu_search((-5, 5), 200, OBJ1, np.random.default_rng(0), problem=problem)
+        result = tabu_search((-5, 5), 200, OBJ1, np.random.default_rng(0).random, problem=problem)
         assert result == (2, -3)
 
     def test_never_returns_worse_than_start(self):
@@ -184,14 +184,14 @@ class TestTabuSearch:
         ev = CachedEvaluator(problem, obj)
         for seed in range(10):
             x0 = (seed % 17, (3 * seed) % 17)
-            result = tabu_search(x0, 50, obj, np.random.default_rng(seed), evaluator=ev)
+            result = tabu_search(x0, 50, obj, np.random.default_rng(seed).random, evaluator=ev)
             assert ev.key(ev.index(result)) <= ev.key(ev.index(x0))
 
     def test_deterministic(self):
         problem = benchmark("p3").problem
         obj = single_objective(1, 2)
         results = {
-            tabu_search((0, 0), 100, obj, np.random.default_rng(7), problem=problem)
+            tabu_search((0, 0), 100, obj, np.random.default_rng(7).random, problem=problem)
             for _ in range(3)
         }
         assert len(results) == 1
@@ -203,14 +203,14 @@ class TestTabuSearch:
         target = min(
             (e.objectives_min[1] for _, e in feasible_lattice(problem))
         )
-        result = tabu_search((12, 0), 500, obj, np.random.default_rng(1), problem=problem)
+        result = tabu_search((12, 0), 500, obj, np.random.default_rng(1).random, problem=problem)
         assert evaluate(problem, result).objectives_min[1] == target
 
     def test_visited_trail_recorded(self):
         problem = quad_problem()
         visited = set()
         result = tabu_search(
-            (-5, 5), 30, OBJ1, np.random.default_rng(0), problem=problem, visited=visited
+            (-5, 5), 30, OBJ1, np.random.default_rng(0).random, problem=problem, visited=visited
         )
         assert (-5, 5) in visited
         assert result in visited
@@ -219,28 +219,13 @@ class TestTabuSearch:
 
     def test_zero_iterations_returns_start(self):
         problem = quad_problem()
-        assert tabu_search((1, 1), 0, OBJ1, np.random.default_rng(0), problem=problem) == (1, 1)
-
-    def test_short_search_draws_fewer_than_a_block(self):
-        # a 100-move p2 search uses about 200 uniforms: the blocks start small
-        # and grow, so it draws far fewer than BLOCK, the rewind included
-        class CountingRng:
-            def __init__(self, rng):
-                self.bit_generator, self._random, self.drawn = rng.bit_generator, rng.random, 0
-
-            def random(self, size=None):
-                self.drawn += 1 if size is None else size
-                return self._random(size)
-
-        problem = benchmark("p2").problem
-        for seed in range(5):
-            rng = CountingRng(np.random.default_rng(seed))
-            tabu_search((3, 11), 100, single_objective(0, 3), rng, problem=problem)
-            assert 100 < rng.drawn < de.BLOCK
+        draw = np.random.default_rng(0).random
+        assert tabu_search((1, 1), 0, OBJ1, draw, problem=problem) == (1, 1)
 
     def test_float_start_coerced_to_ints(self):
         problem = quad_problem()
-        result = tabu_search((1.0, 1.0), 10, OBJ1, np.random.default_rng(0), problem=problem)
+        draw = np.random.default_rng(0).random
+        result = tabu_search((1.0, 1.0), 10, OBJ1, draw, problem=problem)
         assert all(isinstance(v, int) for v in result)
 
 
@@ -251,7 +236,7 @@ class TestOutOfBox:
         ev = CachedEvaluator(quad_problem(), OBJ1)
 
         def search(x):
-            return tabu_search(x, 5, OBJ1, np.random.default_rng(0), evaluator=ev)
+            return tabu_search(x, 5, OBJ1, np.random.default_rng(0).random, evaluator=ev)
 
         for call in (ev.index, search):
             with pytest.raises(ValueError, match=re.escape(f"point {point} lies outside")):
@@ -386,8 +371,12 @@ class TestKernelMatchesReference:
                                for lo, up in zip(problem.lower_bounds, problem.upper_bounds))
             # small blocks put refills and the final rewind at every position of a walk
             with mock.patch.object(de, "BLOCK", block):
-                best = tabu_search(x0, iterations, OBJ1, kernel_rng, evaluator=kernel,
+                draw, settle = de.block_draws(kernel_rng)
+            try:
+                best = tabu_search(x0, iterations, OBJ1, draw, evaluator=kernel,
                                    literal_diversification=literal, visited=kernel_trail)
+            finally:
+                settle()
             expected = _reference_tabu_search(x0, iterations, reference_rng, reference,
                                               literal, reference_trail)
             assert best == expected
@@ -408,7 +397,7 @@ class TestKernelMatchesReference:
             upper_bounds=(4, 4),
         )
         kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        best = tabu_search((-4, -4), 768, OBJ1, kernel_rng, problem=problem)
+        best = tabu_search((-4, -4), 768, OBJ1, kernel_rng.random, problem=problem)
         expected = _reference_tabu_search((-4, -4), 768, reference_rng,
                                           _ReferenceEvaluator(problem, OBJ1), True, None)
         assert best == expected
@@ -425,8 +414,12 @@ class TestKernelMatchesReference:
         problem = Problem(dimension=2, objectives=((f, "min"),), constraints=(),
                           lower_bounds=(-5, -5), upper_bounds=(5, 5))
         kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw, settle = de.block_draws(kernel_rng)
         with pytest.raises(ValueError, match="non-finite"):
-            tabu_search((-5, 5), 1000, OBJ1, kernel_rng, problem=problem)
+            try:
+                tabu_search((-5, 5), 1000, OBJ1, draw, problem=problem)
+            finally:
+                settle()
         with pytest.raises(ValueError, match="non-finite"):
             _reference_tabu_search((-5, 5), 1000, reference_rng,
                                    _ReferenceEvaluator(problem, OBJ1), True, None)
@@ -491,7 +484,7 @@ class TestKeyStore:
             assert evaluator._points is None
         start = tuple(w // 2 for w in widths)
         visited = set()
-        best = tabu_search(start, 300, OBJ1, np.random.default_rng(0), evaluator=evaluator,
+        best = tabu_search(start, 300, OBJ1, np.random.default_rng(0).random, evaluator=evaluator,
                            visited=visited)
         assert best in visited
         assert evaluator.key(evaluator.index(best)) <= evaluator.key(evaluator.index(start))
