@@ -15,6 +15,7 @@ import json
 import os
 import pickle
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -80,12 +81,6 @@ def _solve_run(args):
     return archive, time.perf_counter() - started
 
 
-def _sorted_counts(archive: pipeline.SolutionArchive):
-    items = [(key, entry.count) for key, entry in archive.entries.items()]
-    items.sort(key=lambda item: (-item[1], item[0]))
-    return tuple(items)
-
-
 def run_experiment(
     spec: BenchmarkSpec,
     variant: str,
@@ -96,8 +91,10 @@ def run_experiment(
     """Execute ``hybrid_config.runs`` independent seeded runs of one variant.
 
     Runs execute in parallel when more than one CPU is available, on at most
-    ``runs`` worker processes; results are reduced in run order, so the report
-    is deterministic per master seed.
+    ``runs`` worker processes. Each archived solution is counted once per run
+    that found it, and every counted solution is re-checked for feasibility;
+    the counts are sorted by descending count, then solution, so the report is
+    deterministic per master seed.
     """
     config = replace(hybrid_config, de=replace(hybrid_config.de, variant=variant))
     seeds = tuple(derive_seed(master_seed, i) for i in range(config.runs))
@@ -120,18 +117,15 @@ def run_experiment(
     else:
         results = [_solve_run(job) for job in jobs]
 
-    aggregate = pipeline.SolutionArchive()
-    for archive, _ in results:
-        aggregate.merge_run(archive)
-    for solution in aggregate.entries:
-        check = evaluate(spec.problem, solution)
-        if check.violation != 0.0:
-            raise AssertionError(f"aggregated solution {solution} is infeasible")
+    counts = Counter(key for archive, _ in results for key in archive.entries)
+    for solution in counts:
+        if evaluate(spec.problem, solution).violation != 0.0:
+            raise AssertionError(f"counted solution {solution} is infeasible")
     return ExperimentReport(
         problem=spec.problem.name,
         variant=variant,
         runs=config.runs,
-        counts=_sorted_counts(aggregate),
+        counts=tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0]))),
         seeds=seeds,
         wall_clock=tuple(elapsed for _, elapsed in results),
         config=asdict(config),

@@ -266,15 +266,11 @@ def maxmin_objective(anchors) -> de.ScalarObjective:
 @dataclass
 class ArchiveEntry:
     evaluation: Evaluation
-    count: int
 
 
 class SolutionArchive:
-    """Distinct feasible integer solutions with per-run discovery counts.
-
-    Within one run an entry counts once regardless of how often it is
-    rediscovered; :meth:`merge_run` bumps counts by run membership.
-    ``anchors`` are those of the run that built it, None for a merged archive.
+    """The distinct feasible integer solutions one run found, each with its
+    evaluation; ``anchors`` are those of the run that built it.
     """
 
     def __init__(self, anchors: CompromiseAnchors | None = None):
@@ -286,15 +282,7 @@ class SolutionArchive:
             raise ValueError(f"refusing to archive infeasible point {tuple(x)}")
         key = tuple(int(v) for v in x)
         if key not in self.entries:
-            self.entries[key] = ArchiveEntry(evaluation, 1)
-
-    def merge_run(self, run_archive: "SolutionArchive") -> None:
-        for key, entry in run_archive.entries.items():
-            mine = self.entries.get(key)
-            if mine is None:
-                self.entries[key] = ArchiveEntry(entry.evaluation, 1)
-            else:
-                mine.count += 1
+            self.entries[key] = ArchiveEntry(evaluation)
 
     def finalize_pareto(self) -> None:
         """Drop entries dominated by another archived entry."""
@@ -322,10 +310,11 @@ def stage3_alternate(
     """Alternate evolution on the satisfaction level with tabu refinement.
 
     Each alternation runs the configured variant for its full iteration
-    budget, then rounds and tabu-refines every population member, archiving
-    each feasible integer result and writing it back into the population when
-    it improves the incumbent. Returns a new archive, Pareto-filtered on the
-    original objectives and carrying ``anchors``.
+    budget, then rounds and tabu-refines every population member, writing the
+    result back into the population when it improves the incumbent. The
+    archive takes every feasible lattice point the walks landed on, decoded
+    from its flat index; it is Pareto-filtered on the original objectives and
+    carries ``anchors``.
     """
     objective = maxmin_objective(anchors)
     evaluator = tabu.CachedEvaluator(problem_k, objective)
@@ -335,24 +324,18 @@ def stage3_alternate(
         pop = de.run(problem_k, config.de, objective, draw, initial=pop)
         for i, member in enumerate(pop):
             rounded = tabu.stochastic_round(member.x, draw)
-            refined = tabu.tabu_search(
-                rounded,
-                config.ts_iterations,
-                objective,
-                draw,
-                evaluator=evaluator,
-                literal_diversification=config.literal_diversification,
-                visited=visited,
+            j = tabu.tabu_search(
+                rounded, config.ts_iterations, evaluator, draw,
+                literal_diversification=config.literal_diversification, visited=visited,
             )
-            j = evaluator.index(refined)
-            ev = evaluator.evaluation(j)
             if evaluator.key(j) < deb_key(objective.fitness(member.eval), member.eval.violation):
-                pop[i] = de.Individual(np.asarray(refined, dtype=float), ev)
+                pop[i] = de.Individual(np.asarray(evaluator.point(j), dtype=float),
+                                       evaluator.evaluation(j))
     archive = SolutionArchive(anchors)
-    for point in sorted(visited):
-        ev = evaluator.evaluation(evaluator.index(point))
+    for j in sorted(visited):  # flat indices sort as their points do
+        ev = evaluator.evaluation(j)
         if ev.violation == 0.0:
-            archive.add(point, Evaluation(ev.objectives_min[:d_original], 0.0))
+            archive.add(evaluator.point(j), Evaluation(ev.objectives_min[:d_original], 0.0))
     archive.finalize_pareto()
     return archive
 

@@ -28,7 +28,9 @@ points, so a memo there would grow with them.
 The kernel: one :func:`tabu_move` call runs a whole search, with the
 aspiration level kept current inside the call, and appends each landing to a
 path. The search's best point is the first landing with the least key, which
-is what a strict ``<`` update after every move picks.
+is what a strict ``<`` update after every move picks. A search reports its
+best point and its landings as flat indices too, so a caller reads their
+cached evaluations and decodes only the points it keeps.
 
 Random draws: rounding and the walk take a ``draw`` callable returning one
 uniform in [0, 1), the solve's one stream (see :mod:`moits.de`) or
@@ -213,27 +215,20 @@ def tabu_move(
 def tabu_search(
     x0,
     iterations: int,
-    objective,
+    evaluator: CachedEvaluator,
     draw: Callable[[], float],
-    problem: Problem | None = None,
-    evaluator: CachedEvaluator | None = None,
     literal_diversification: bool = True,
     visited: set | None = None,
-) -> tuple[int, ...]:
-    """Refine ``x0`` for the given number of moves; returns the best point found.
+) -> int:
+    """Refine ``x0`` for the given number of moves under ``evaluator``, which
+    carries the problem and the objective and may be shared across searches;
+    returns the flat index of the best point found (``evaluator.point``
+    decodes an index).
 
-    Either ``problem`` or a pre-built ``evaluator`` (which carries the problem
-    and ``objective``, and may be shared across searches) must be supplied.
-    When ``visited`` is given, every lattice point the walk lands on is added
-    to it, so callers can harvest candidate solutions beyond the single best.
-    A start outside the box raises ``ValueError``.
+    When ``visited`` is given, the flat index of every lattice point the walk
+    lands on is added to it, so callers can harvest candidate solutions beyond
+    the single best. A start outside the box raises ``ValueError``.
     """
-    if evaluator is None:
-        if problem is None:
-            raise ValueError("tabu_search needs a problem or an evaluator")
-        evaluator = CachedEvaluator(problem, objective)
-    elif evaluator.objective is not objective:
-        raise ValueError("shared evaluator is bound to a different objective")
     i = evaluator.index(tuple(int(v) for v in x0))
     path = [i]
     if iterations > 0:  # tabu_move reads the start's key even for no moves
@@ -241,5 +236,5 @@ def tabu_search(
                   literal_diversification, iterations, path)
         i = min(path, key=evaluator._keys.__getitem__)  # the first of the least keys
     if visited is not None:
-        visited.update(map(evaluator.point, set(path)))
-    return evaluator.point(i)
+        visited.update(path)
+    return i

@@ -65,10 +65,6 @@ class DecisionMatrix:
         if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
             raise ValueError("weights must be non-negative and sum to 1")
 
-    @property
-    def n_alternatives(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class TopsisRanking:

@@ -308,10 +308,9 @@ class TestCriterion3Tabu:
         for center in (-37, 0, 42):
             problem = quad1d(center)
             for start in (-50, 50):
-                result = tabu_search(
-                    (start,), 500, objective, np.random.default_rng(3).random, problem=problem
-                )
-                assert result == (center,), (center, start)
+                evaluator = CachedEvaluator(problem, objective)
+                result = tabu_search((start,), 500, evaluator, np.random.default_rng(3).random)
+                assert evaluator.point(result) == (center,), (center, start)
 
 
 class TestCriterion3Hybrid:

@@ -17,8 +17,8 @@ from moits.harness import (
     verify_known,
 )
 from moits.harness import _format_solution, report_csv, verification_to_dict
-from moits.pipeline import HybridConfig
-from moits.problems import evaluate
+from moits.pipeline import HybridConfig, SolutionArchive
+from moits.problems import Evaluation, evaluate
 
 SMALL = HybridConfig(
     de=DEConfig(population_size=20, max_iterations=30),
@@ -91,6 +91,36 @@ class TestRunExperiment:
         assert p3_report.count_of(sol) == count
         assert p3_report.rate_percent(sol) == 100.0 * count / 3
         assert p3_report.count_of((99, 99)) == 0
+
+    def test_counts_run_membership(self, monkeypatch):
+        problem = benchmark("p3").problem
+        archives = []
+        for run_id in range(SMALL.runs):
+            archive = SolutionArchive()
+            archive.add((9, 5), evaluate(problem, (9, 5)))
+            if run_id == 0:
+                archive.add((10, 4), evaluate(problem, (10, 4)))
+            archives.append(archive)
+        runs = iter(archives)
+        monkeypatch.setattr(harness, "_solve_run", lambda job: (next(runs), 0.5))
+        report = run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=1)
+        assert report.counts == (((9, 5), 3), ((10, 4), 1))
+
+    def test_counted_solutions_rechecked_for_feasibility(self, monkeypatch):
+        archive = SolutionArchive()
+        archive.add((5, 7), Evaluation((0.0, 0.0), 0.0))  # infeasible in p3
+        monkeypatch.setattr(harness, "_solve_run", lambda job: (archive, 0.5))
+        with pytest.raises(AssertionError, match=r"\(5, 7\) is infeasible"):
+            run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=1)
+
+
+class TestProcessPool:
+    def test_two_workers_match_one(self, p3_report):
+        # a real pool: archives come back pickled and are counted in run order
+        pooled = run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=2)
+        assert report_csv(pooled) == report_csv(p3_report)
+        assert pooled.counts == p3_report.counts
+        assert pooled.seeds == p3_report.seeds
 
 
 class TestUnpicklableProblem:

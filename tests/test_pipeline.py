@@ -337,18 +337,7 @@ class TestArchive:
         archive = SolutionArchive()
         archive.add((1, 1), Evaluation((2.0,), 0.0))
         archive.add((1, 1), Evaluation((2.0,), 0.0))
-        assert archive.entries[(1, 1)].count == 1
-
-    def test_merge_counts_run_membership(self):
-        total = SolutionArchive()
-        for run_id in range(3):
-            run = SolutionArchive()
-            run.add((1, 1), Evaluation((2.0,), 0.0))
-            if run_id == 0:
-                run.add((2, 2), Evaluation((3.0,), 0.0))
-            total.merge_run(run)
-        assert total.entries[(1, 1)].count == 3
-        assert total.entries[(2, 2)].count == 1
+        assert len(archive) == 1
 
     def test_finalize_drops_dominated(self):
         archive = SolutionArchive()
@@ -396,4 +385,4 @@ class TestSolve:
         problem = benchmark("p3").problem
         archive = solve(problem, SMALL, np.random.default_rng(0))
         assert isinstance(archive.anchors, CompromiseAnchors)
-        assert SolutionArchive().anchors is None  # a merged archive has none
+        assert SolutionArchive().anchors is None  # an archive built by hand has none

@@ -86,16 +86,6 @@ class TestCachedEvaluator:
         e = evaluate(problem, (4, 4))
         assert ev.key(ev.index((4, 4))) == deb_key(obj.fitness(e), e.violation)
 
-    def test_search_rejects_mismatched_objective(self):
-        ev = CachedEvaluator(quad_problem(), OBJ1)
-        other = single_objective(0, 1, negate=True)
-        with pytest.raises(ValueError, match="different objective"):
-            tabu_search((0, 0), 5, other, np.random.default_rng(0).random, evaluator=ev)
-
-    def test_search_requires_problem_or_evaluator(self):
-        with pytest.raises(ValueError):
-            tabu_search((0, 0), 5, OBJ1, np.random.default_rng(0).random)
-
 
 def move(x, x_star, k, state, evaluator, rng, literal_diversification=True):
     """``tabu_move`` on points instead of flat indices, drawing from ``rng``."""
@@ -174,9 +164,9 @@ class TestTabuMove:
 
 class TestTabuSearch:
     def test_finds_unconstrained_quadratic_minimum(self):
-        problem = quad_problem()
-        result = tabu_search((-5, 5), 200, OBJ1, np.random.default_rng(0).random, problem=problem)
-        assert result == (2, -3)
+        evaluator = CachedEvaluator(quad_problem(), OBJ1)
+        result = tabu_search((-5, 5), 200, evaluator, np.random.default_rng(0).random)
+        assert evaluator.point(result) == (2, -3)
 
     def test_never_returns_worse_than_start(self):
         problem = benchmark("p2").problem
@@ -184,14 +174,15 @@ class TestTabuSearch:
         ev = CachedEvaluator(problem, obj)
         for seed in range(10):
             x0 = (seed % 17, (3 * seed) % 17)
-            result = tabu_search(x0, 50, obj, np.random.default_rng(seed).random, evaluator=ev)
-            assert ev.key(ev.index(result)) <= ev.key(ev.index(x0))
+            result = tabu_search(x0, 50, ev, np.random.default_rng(seed).random)
+            assert ev.key(result) <= ev.key(ev.index(x0))
 
     def test_deterministic(self):
         problem = benchmark("p3").problem
         obj = single_objective(1, 2)
         results = {
-            tabu_search((0, 0), 100, obj, np.random.default_rng(7).random, problem=problem)
+            tabu_search((0, 0), 100, CachedEvaluator(problem, obj),
+                        np.random.default_rng(7).random)
             for _ in range(3)
         }
         assert len(results) == 1
@@ -203,30 +194,30 @@ class TestTabuSearch:
         target = min(
             (e.objectives_min[1] for _, e in feasible_lattice(problem))
         )
-        result = tabu_search((12, 0), 500, obj, np.random.default_rng(1).random, problem=problem)
-        assert evaluate(problem, result).objectives_min[1] == target
+        evaluator = CachedEvaluator(problem, obj)
+        result = tabu_search((12, 0), 500, evaluator, np.random.default_rng(1).random)
+        assert evaluate(problem, evaluator.point(result)).objectives_min[1] == target
 
     def test_visited_trail_recorded(self):
-        problem = quad_problem()
+        evaluator = CachedEvaluator(quad_problem(), OBJ1)
         visited = set()
-        result = tabu_search(
-            (-5, 5), 30, OBJ1, np.random.default_rng(0).random, problem=problem, visited=visited
-        )
-        assert (-5, 5) in visited
+        result = tabu_search((-5, 5), 30, evaluator, np.random.default_rng(0).random,
+                             visited=visited)
+        assert all(type(i) is int for i in visited)  # flat indices, not points
+        points = {evaluator.point(i) for i in visited}
+        assert (-5, 5) in points
         assert result in visited
-        assert all(isinstance(p, tuple) and len(p) == 2 for p in visited)
         assert len(visited) > 1
 
     def test_zero_iterations_returns_start(self):
-        problem = quad_problem()
+        evaluator = CachedEvaluator(quad_problem(), OBJ1)
         draw = np.random.default_rng(0).random
-        assert tabu_search((1, 1), 0, OBJ1, draw, problem=problem) == (1, 1)
+        assert tabu_search((1, 1), 0, evaluator, draw) == evaluator.index((1, 1))
 
     def test_float_start_coerced_to_ints(self):
-        problem = quad_problem()
-        draw = np.random.default_rng(0).random
-        result = tabu_search((1.0, 1.0), 10, OBJ1, draw, problem=problem)
-        assert all(isinstance(v, int) for v in result)
+        evaluator = CachedEvaluator(quad_problem(), OBJ1)
+        result = tabu_search((1.0, 1.0), 10, evaluator, np.random.default_rng(0).random)
+        assert result == tabu_search((1, 1), 10, evaluator, np.random.default_rng(0).random)
 
 
 class TestOutOfBox:
@@ -236,7 +227,7 @@ class TestOutOfBox:
         ev = CachedEvaluator(quad_problem(), OBJ1)
 
         def search(x):
-            return tabu_search(x, 5, OBJ1, np.random.default_rng(0).random, evaluator=ev)
+            return tabu_search(x, 5, ev, np.random.default_rng(0).random)
 
         for call in (ev.index, search):
             with pytest.raises(ValueError, match=re.escape(f"point {point} lies outside")):
@@ -373,14 +364,14 @@ class TestKernelMatchesReference:
             with mock.patch.object(de, "BLOCK", block):
                 draw, settle = de.block_draws(kernel_rng)
             try:
-                best = tabu_search(x0, iterations, OBJ1, draw, evaluator=kernel,
+                best = tabu_search(x0, iterations, kernel, draw,
                                    literal_diversification=literal, visited=kernel_trail)
             finally:
                 settle()
             expected = _reference_tabu_search(x0, iterations, reference_rng, reference,
                                               literal, reference_trail)
-            assert best == expected
-            assert kernel_trail == reference_trail
+            assert kernel.point(best) == expected
+            assert {kernel.point(i) for i in kernel_trail} == reference_trail
             assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
         # the same lazy misses: the kernel evaluated exactly the reference's points
         assert {kernel.point(i) for i in kernel._evals} == set(reference._evals)
@@ -397,10 +388,11 @@ class TestKernelMatchesReference:
             upper_bounds=(4, 4),
         )
         kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        best = tabu_search((-4, -4), 768, OBJ1, kernel_rng.random, problem=problem)
+        kernel = CachedEvaluator(problem, OBJ1)
+        best = tabu_search((-4, -4), 768, kernel, kernel_rng.random)
         expected = _reference_tabu_search((-4, -4), 768, reference_rng,
                                           _ReferenceEvaluator(problem, OBJ1), True, None)
-        assert best == expected
+        assert kernel.point(best) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_failing_objective_leaves_generator_as_reference(self, seed):
@@ -417,7 +409,7 @@ class TestKernelMatchesReference:
         draw, settle = de.block_draws(kernel_rng)
         with pytest.raises(ValueError, match="non-finite"):
             try:
-                tabu_search((-5, 5), 1000, OBJ1, draw, problem=problem)
+                tabu_search((-5, 5), 1000, CachedEvaluator(problem, OBJ1), draw)
             finally:
                 settle()
         with pytest.raises(ValueError, match="non-finite"):
@@ -484,10 +476,9 @@ class TestKeyStore:
             assert evaluator._points is None
         start = tuple(w // 2 for w in widths)
         visited = set()
-        best = tabu_search(start, 300, OBJ1, np.random.default_rng(0).random, evaluator=evaluator,
-                           visited=visited)
+        best = tabu_search(start, 300, evaluator, np.random.default_rng(0).random, visited=visited)
         assert best in visited
-        assert evaluator.key(evaluator.index(best)) <= evaluator.key(evaluator.index(start))
+        assert evaluator.key(best) <= evaluator.key(evaluator.index(start))
         if not dense:
             # the sparse store holds exactly the points the walk evaluated
             assert set(evaluator._keys) == set(evaluator._evals)
