@@ -8,9 +8,9 @@ re-sampled anywhere in its range (diversification).
 
 A `CachedEvaluator` binds the problem and the objective and memoizes every
 evaluation. The search returns the flat lattice index of its best point,
-which `evaluator.point` decodes, and a `visited` set harvests the index of
-every point the walk lands on -- the hybrid pipeline archives all feasible ones,
-not just the single best.
+which `evaluator.point` decodes, and `evaluator.evals` holds every point the
+walk evaluated -- the hybrid pipeline archives all feasible ones, not just the
+single best.
 """
 
 import numpy as np
@@ -28,11 +28,9 @@ continuous = (2.9495, 5.0)  # where the evolution stage converges (demo 03)
 rounded = stochastic_round(continuous, draw)
 print(f"continuous solution {continuous} rounds to {rounded}")
 
-visited: set = set()
-best = tabu_search(rounded, 200, evaluator, draw, visited=visited)  # a flat lattice index
+best = tabu_search(rounded, 200, evaluator, draw)  # a flat lattice index
 print(f"tabu search refines it to {evaluator.point(best)}")
 
-feasible = sorted(evaluator.point(i) for i in visited
-                  if evaluator.evaluation(i).violation == 0.0)
-print(f"the walk visited {len(visited)} lattice points, {len(feasible)} of them feasible, "
-      f"e.g. {feasible[:6]} ...")
+feasible = sorted(evaluator.point(i) for i, ev in evaluator.evals.items() if ev.violation == 0.0)
+print(f"the walk evaluated {len(evaluator.evals)} lattice points, {len(feasible)} of them "
+      f"feasible, e.g. {feasible[:6]} ...")

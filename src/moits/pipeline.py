@@ -312,30 +312,27 @@ def stage3_alternate(
     Each alternation runs the configured variant for its full iteration
     budget, then rounds and tabu-refines every population member, writing the
     result back into the population when it improves the incumbent. The
-    archive takes every feasible lattice point the walks landed on, decoded
-    from its flat index; it is Pareto-filtered on the original objectives and
-    carries ``anchors``.
+    archive takes every feasible lattice point the walks evaluated, landing
+    or scan neighbour, decoded from its flat index; it is Pareto-filtered on
+    the original objectives and carries ``anchors``.
     """
     objective = maxmin_objective(anchors)
     evaluator = tabu.CachedEvaluator(problem_k, objective)
     pop = de.init_population(problem_k, config.de, draw)
-    visited: set = set()
     for _ in range(config.alternations):
         pop = de.run(problem_k, config.de, objective, draw, initial=pop)
         for i, member in enumerate(pop):
             rounded = tabu.stochastic_round(member.x, draw)
-            j = tabu.tabu_search(
-                rounded, config.ts_iterations, evaluator, draw,
-                literal_diversification=config.literal_diversification, visited=visited,
-            )
+            j = tabu.tabu_search(rounded, config.ts_iterations, evaluator, draw,
+                                 literal_diversification=config.literal_diversification)
             if evaluator.key(j) < deb_key(objective.fitness(member.eval), member.eval.violation):
                 pop[i] = de.Individual(np.asarray(evaluator.point(j), dtype=float),
                                        evaluator.evaluation(j))
     archive = SolutionArchive(anchors)
-    for j in sorted(visited):  # flat indices sort as their points do
-        ev = evaluator.evaluation(j)
-        if ev.violation == 0.0:
-            archive.add(evaluator.point(j), Evaluation(ev.objectives_min[:d_original], 0.0))
+    # sort only the feasible indices; index order is the points' lexicographic order
+    evals = evaluator.evals
+    for j in sorted(j for j, ev in evals.items() if ev.violation == 0.0):
+        archive.add(evaluator.point(j), Evaluation(evals[j].objectives_min[:d_original], 0.0))
     archive.finalize_pareto()
     return archive
 

@@ -21,16 +21,16 @@ Keys: each lattice point's feasibility-rule key is evaluated the first time
 the walk looks at it. :class:`CachedEvaluator` stores the keys in a list with
 one slot per lattice point when the box has fewer than ``DENSE_LIMIT`` points,
 and in a dict otherwise; both read an unfilled slot as ``None``, so the walk
-reads a key as ``keys[i] or key(i)``. Decoded points are memoised in a list
-too, on dense lattices only: a large lattice's walks land on many distinct
-points, so a memo there would grow with them.
+reads a key as ``keys[i] or key(i)``. Its ``evals`` dict holds the evaluation
+of every point the walks have looked at, which is where a caller harvests
+candidate solutions beyond each search's best.
 
-The kernel: one :func:`tabu_move` call runs a whole search, with the
-aspiration level kept current inside the call, and appends each landing to a
-path. The search's best point is the first landing with the least key, which
-is what a strict ``<`` update after every move picks. A search reports its
-best point and its landings as flat indices too, so a caller reads their
-cached evaluations and decodes only the points it keeps.
+The kernel: one :func:`tabu_move` call runs a whole search and keeps the
+aspiration level current inside the call: a landing whose key beats the level
+becomes the new level. That level is the search's best point, the first
+landing with the least key, which is what a strict ``<`` update after every
+move picks. A search reports it as a flat index, so a caller reads its cached
+evaluation and decodes only the points it keeps.
 
 Random draws: rounding and the walk take a ``draw`` callable returning one
 uniform in [0, 1), the solve's one stream (see :mod:`moits.de`) or
@@ -49,7 +49,7 @@ from .problems import Evaluation, Problem, deb_key, evaluate
 
 __all__ = ["TabuState", "CachedEvaluator", "stochastic_round", "tabu_move", "tabu_search"]
 
-# lattices with fewer points keep keys and decoded points in dense lists
+# lattices with fewer points keep keys in dense lists
 DENSE_LIMIT = 1 << 16
 
 
@@ -70,11 +70,11 @@ class CachedEvaluator:
 
     Both caches are keyed by the flat index of a point (see the module
     docstring); a miss evaluates the decoded point with :func:`evaluate`.
-    Evaluations live in a dict; keys live in a list of ``None`` slots, or in
-    a dict reading a miss as ``None`` when the box has ``DENSE_LIMIT`` points
-    or more. The benchmark lattices are tiny compared to the tabu move
-    budget, so the search revisits points constantly; caching makes each
-    neighbour an integer addition and a list lookup.
+    Evaluations live in the ``evals`` dict; keys live in a list of ``None``
+    slots, or in a dict reading a miss as ``None`` when the box has
+    ``DENSE_LIMIT`` points or more. The benchmark lattices are tiny compared
+    to the tabu move budget, so the search revisits points constantly;
+    caching makes each neighbour an integer addition and a list lookup.
     """
 
     def __init__(self, problem: Problem, objective):
@@ -87,15 +87,14 @@ class CachedEvaluator:
         self.strides = tuple(strides)
         # (variable, stride, radix) per variable, the scan's loop
         self.axes = tuple(zip(range(problem.dimension), self.strides, self.radix))
-        self._evals: dict[int, Evaluation] = {}
+        self.evals: dict[int, Evaluation] = {}
         size = problem.lattice_size()
         if size < DENSE_LIMIT:
             self._keys: list | defaultdict = [None] * size
-            self._points: list | None = [None] * size
         else:
             # a missing index reads as a None slot that key then fills;
             # NoneType as the factory is a C call, a Python __missing__ is not
-            self._keys, self._points = defaultdict(type(None)), None
+            self._keys = defaultdict(type(None))
 
     def index(self, x) -> int:
         """Flat index of the lattice point ``x``; a point outside the box
@@ -109,21 +108,15 @@ class CachedEvaluator:
         return i
 
     def point(self, i: int) -> tuple[int, ...]:
-        """The lattice point of flat index ``i``, memoised on dense lattices."""
-        points = self._points
-        x = None if points is None else points[i]
-        if x is None:
-            x = tuple([lo + i // s % r
-                       for lo, s, r in zip(self.problem.lower_bounds, self.strides, self.radix)])
-            if points is not None:
-                points[i] = x
-        return x
+        """The lattice point of flat index ``i``."""
+        return tuple([lo + i // s % r
+                      for lo, s, r in zip(self.problem.lower_bounds, self.strides, self.radix)])
 
     def evaluation(self, i: int) -> Evaluation:
         """The evaluation of the lattice point of flat index ``i``."""
-        ev = self._evals.get(i)
+        ev = self.evals.get(i)
         if ev is None:
-            ev = self._evals[i] = evaluate(self.problem, self.point(i))
+            ev = self.evals[i] = evaluate(self.problem, self.point(i))
         return ev
 
     def key(self, i: int):
@@ -155,19 +148,19 @@ def tabu_move(
     draw: Callable[[], float],
     literal_diversification: bool = True,
     moves: int = 1,
-    path: list | None = None,
-) -> int:
+) -> tuple[int, int]:
     """Run ``moves`` moves, numbered ``k, k + 1, ...``, from flat index ``i``,
-    given the best index ``star`` so far; returns the last landed index.
+    given the best index ``star`` so far; returns the last landed index and
+    the best index after the moves.
 
     A move is either a random-coordinate diversification kick (when every
     variable's memory is older than n iterations) or a breadth-first scan of
     the +/-1 neighbors, keeping the best admissible one; if no neighbor
     qualifies, the walk stays where it is and no tenure is stamped.
 
-    With ``path``, each landed index is appended to it and a landing that
-    beats the aspiration level (first ``star``'s key) becomes the new level,
-    as if it were passed as ``star`` to the next move. ``draw()`` returns the
+    Each landing's key is read after its move, and a landing that beats the
+    aspiration level (first ``star``'s key) becomes the new best index, as if
+    it were passed as ``star`` to the next move. ``draw()`` returns the
     next uniform in [0, 1): two per kick, then one per variable per scan
     (``rng.random`` itself will do). Every stamp in ``state.t`` must be at
     most ``k``, as it is along a walk.
@@ -204,12 +197,10 @@ def tabu_move(
             if winner >= 0:
                 t[winner] = last = k
             i = best
-        if path is not None:
-            path.append(i)
-            landed_key = keys[i] or key(i)
-            if landed_key < star_key:
-                star_key = landed_key
-    return i
+        landed_key = keys[i] or key(i)
+        if landed_key < star_key:
+            star, star_key = i, landed_key
+    return i, star
 
 
 def tabu_search(
@@ -218,23 +209,17 @@ def tabu_search(
     evaluator: CachedEvaluator,
     draw: Callable[[], float],
     literal_diversification: bool = True,
-    visited: set | None = None,
 ) -> int:
     """Refine ``x0`` for the given number of moves under ``evaluator``, which
     carries the problem and the objective and may be shared across searches;
     returns the flat index of the best point found (``evaluator.point``
     decodes an index).
 
-    When ``visited`` is given, the flat index of every lattice point the walk
-    lands on is added to it, so callers can harvest candidate solutions beyond
-    the single best. A start outside the box raises ``ValueError``.
+    Every point the walk looks at is left in ``evaluator.evals``. A start
+    outside the box raises ``ValueError``.
     """
     i = evaluator.index(tuple(int(v) for v in x0))
-    path = [i]
-    if iterations > 0:  # tabu_move reads the start's key even for no moves
-        tabu_move(i, i, 1, TabuState.fresh(evaluator.problem.dimension), evaluator, draw,
-                  literal_diversification, iterations, path)
-        i = min(path, key=evaluator._keys.__getitem__)  # the first of the least keys
-    if visited is not None:
-        visited.update(path)
-    return i
+    if iterations <= 0:  # tabu_move would read the start's key even for no moves
+        return i
+    return tabu_move(i, i, 1, TabuState.fresh(evaluator.problem.dimension), evaluator, draw,
+                     literal_diversification, iterations)[1]

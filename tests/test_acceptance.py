@@ -262,7 +262,7 @@ class TestCriterion3Tabu:
         for k in range(1, 300):
             x = evaluator.point(tabu_move(
                 evaluator.index(x), evaluator.index(x_star), k, state, evaluator, rng.random
-            ))
+            )[0])
             if evaluator.key(evaluator.index(x)) < evaluator.key(evaluator.index(x_star)):
                 x_star = x
             keys.append(evaluator.key(evaluator.index(x_star)))
@@ -283,7 +283,7 @@ class TestCriterion3Tabu:
             moved = evaluator.point(tabu_move(
                 evaluator.index(x), evaluator.index(x_star), k, state, evaluator, rng.random,
                 literal_diversification=False,
-            ))
+            )[0])
             if moved != x:
                 stamped = [j for j in range(2) if state.t[j] == k and before[j] != k]
                 assert len(stamped) == 1

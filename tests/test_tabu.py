@@ -90,7 +90,7 @@ class TestCachedEvaluator:
 def move(x, x_star, k, state, evaluator, rng, literal_diversification=True):
     """``tabu_move`` on points instead of flat indices, drawing from ``rng``."""
     i = tabu_move(evaluator.index(x), evaluator.index(x_star), k, state, evaluator,
-                  rng.random, literal_diversification)
+                  rng.random, literal_diversification)[0]
     return evaluator.point(i)
 
 
@@ -198,17 +198,6 @@ class TestTabuSearch:
         result = tabu_search((12, 0), 500, evaluator, np.random.default_rng(1).random)
         assert evaluate(problem, evaluator.point(result)).objectives_min[1] == target
 
-    def test_visited_trail_recorded(self):
-        evaluator = CachedEvaluator(quad_problem(), OBJ1)
-        visited = set()
-        result = tabu_search((-5, 5), 30, evaluator, np.random.default_rng(0).random,
-                             visited=visited)
-        assert all(type(i) is int for i in visited)  # flat indices, not points
-        points = {evaluator.point(i) for i in visited}
-        assert (-5, 5) in points
-        assert result in visited
-        assert len(visited) > 1
-
     def test_zero_iterations_returns_start(self):
         evaluator = CachedEvaluator(quad_problem(), OBJ1)
         draw = np.random.default_rng(0).random
@@ -296,17 +285,13 @@ def _reference_tabu_move(x, x_star, k, state, evaluator, rng, literal_diversific
     return best
 
 
-def _reference_tabu_search(x0, iterations, rng, evaluator, literal_diversification, visited):
+def _reference_tabu_search(x0, iterations, rng, evaluator, literal_diversification):
     n = evaluator.problem.dimension
     x = tuple(int(v) for v in x0)
     x_star = x
     state = TabuState.fresh(n)
-    if visited is not None:
-        visited.add(x)
     for k in range(1, iterations + 1):
         x = _reference_tabu_move(x, x_star, k, state, evaluator, rng, literal_diversification)
-        if visited is not None:
-            visited.add(x)
         if evaluator.key(x) < evaluator.key(x_star):
             x_star = x
     return x_star
@@ -348,13 +333,11 @@ class TestKernelMatchesReference:
              block=de.BLOCK)
     @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), iterations=257, literal=True,
              searches=3, seed=2, block=de.BLOCK)
-    def test_same_best_trail_and_generator_state(self, box, iterations, literal, searches, seed,
-                                                 block):
+    def test_same_best_and_generator_state(self, box, iterations, literal, searches, seed, block):
         # one evaluator of each kind shared by all searches, as in stage 3
         problem = box_problem(*box)
         kernel, reference = CachedEvaluator(problem, OBJ1), _ReferenceEvaluator(problem, OBJ1)
         kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        kernel_trail, reference_trail = set(), set()
         for _ in range(searches):
             x0 = tuple(int(kernel_rng.integers(lo, up + 1))
                        for lo, up in zip(problem.lower_bounds, problem.upper_bounds))
@@ -364,17 +347,14 @@ class TestKernelMatchesReference:
             with mock.patch.object(de, "BLOCK", block):
                 draw, settle = de.block_draws(kernel_rng)
             try:
-                best = tabu_search(x0, iterations, kernel, draw,
-                                   literal_diversification=literal, visited=kernel_trail)
+                best = tabu_search(x0, iterations, kernel, draw, literal_diversification=literal)
             finally:
                 settle()
-            expected = _reference_tabu_search(x0, iterations, reference_rng, reference,
-                                              literal, reference_trail)
+            expected = _reference_tabu_search(x0, iterations, reference_rng, reference, literal)
             assert kernel.point(best) == expected
-            assert {kernel.point(i) for i in kernel_trail} == reference_trail
             assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
         # the same lazy misses: the kernel evaluated exactly the reference's points
-        assert {kernel.point(i) for i in kernel._evals} == set(reference._evals)
+        assert {kernel.point(i) for i in kernel.evals} == set(reference._evals)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tied_best_keeps_the_first_found(self, seed):
@@ -391,7 +371,7 @@ class TestKernelMatchesReference:
         kernel = CachedEvaluator(problem, OBJ1)
         best = tabu_search((-4, -4), 768, kernel, kernel_rng.random)
         expected = _reference_tabu_search((-4, -4), 768, reference_rng,
-                                          _ReferenceEvaluator(problem, OBJ1), True, None)
+                                          _ReferenceEvaluator(problem, OBJ1), True)
         assert kernel.point(best) == expected
 
     @pytest.mark.parametrize("seed", range(4))
@@ -414,7 +394,7 @@ class TestKernelMatchesReference:
                 settle()
         with pytest.raises(ValueError, match="non-finite"):
             _reference_tabu_search((-5, 5), 1000, reference_rng,
-                                   _ReferenceEvaluator(problem, OBJ1), True, None)
+                                   _ReferenceEvaluator(problem, OBJ1), True)
         assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -438,23 +418,23 @@ class TestMultiMoveKernel:
         uniforms = rng.random(moves * max(n, 2)).tolist()
 
         evaluator, state = CachedEvaluator(problem, OBJ1), TabuState(list(stamps))
-        draws, path = iter(uniforms), []
-        last = tabu_move(start, star, k, state, evaluator, draws.__next__, literal, moves, path)
+        draws = iter(uniforms)
+        last, best = tabu_move(start, star, k, state, evaluator, draws.__next__, literal, moves)
 
         # the same moves one call each, the caller keeping the best index
         single, single_state = CachedEvaluator(problem, OBJ1), TabuState(list(stamps))
         single_draws = iter(uniforms)
-        i, best, landed = start, star, []
+        i, single_best = start, star
         for step in range(k, k + moves):
-            i = tabu_move(i, best, step, single_state, single, single_draws.__next__, literal)
-            landed.append(i)
-            if single.key(i) < single.key(best):
-                best = i
-        assert path == landed
+            i = tabu_move(i, single_best, step, single_state, single, single_draws.__next__,
+                          literal)[0]
+            if single.key(i) < single.key(single_best):
+                single_best = i
+        assert best == single_best
         assert last == i
         assert state.t == single_state.t
         assert operator.length_hint(draws) == operator.length_hint(single_draws)
-        assert set(evaluator._evals) == set(single._evals)
+        assert set(evaluator.evals) == set(single.evals)
 
 
 class TestKeyStore:
@@ -470,15 +450,11 @@ class TestKeyStore:
         assert (size < DENSE_LIMIT) == dense
         if dense:
             assert evaluator._keys == [None] * size
-            assert evaluator._points == [None] * size
         else:
             assert not isinstance(evaluator._keys, list) and len(evaluator._keys) == 0
-            assert evaluator._points is None
         start = tuple(w // 2 for w in widths)
-        visited = set()
-        best = tabu_search(start, 300, evaluator, np.random.default_rng(0).random, visited=visited)
-        assert best in visited
+        best = tabu_search(start, 300, evaluator, np.random.default_rng(0).random)
         assert evaluator.key(best) <= evaluator.key(evaluator.index(start))
         if not dense:
             # the sparse store holds exactly the points the walk evaluated
-            assert set(evaluator._keys) == set(evaluator._evals)
+            assert set(evaluator._keys) == set(evaluator.evals)
