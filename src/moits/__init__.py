@@ -16,13 +16,12 @@ from .problems import (
     Evaluation,
     Problem,
     brute_force_pareto,
-    deb_better,
     dominates,
     evaluate,
     pareto_filter,
 )
 from .tabu import stochastic_round, tabu_search
-from .topsis import DecisionMatrix, TopsisRanking, best_alternative, build_matrix, rank
+from .topsis import DecisionMatrix, TopsisRanking, rank
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,6 @@ __all__ = [
     "Evaluation",
     "Problem",
     "brute_force_pareto",
-    "deb_better",
     "dominates",
     "evaluate",
     "pareto_filter",
@@ -54,7 +52,5 @@ __all__ = [
     "tabu_search",
     "DecisionMatrix",
     "TopsisRanking",
-    "best_alternative",
-    "build_matrix",
     "rank",
 ]

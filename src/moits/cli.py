@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--config", default=None, help="JSON file overriding defaults")
         p.add_argument("--oracle-anchors", action="store_true")
-        p.add_argument("--canonical-best", action="store_true")
 
     p_solve = sub.add_parser("solve", help="single run, print the solution archive")
     add_common(p_solve)
@@ -124,7 +123,6 @@ def _config_from_args(args) -> pipeline.HybridConfig:
     overrides = {
         "variant": getattr(args, "variant", None),
         "oracle_anchors": True if args.oracle_anchors else None,
-        "canonical_best": True if args.canonical_best else None,
         "runs": getattr(args, "runs", None),
     }
     return load_config(args.config, **overrides)

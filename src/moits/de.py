@@ -84,7 +84,6 @@ class DEConfig:
     beta: float = 0.8
     neighborhood_k: int = 2
     variant: str = "rand1"
-    canonical_best: bool = False
 
     def __post_init__(self):
         if self.population_size < 4:
@@ -163,15 +162,11 @@ def mutate_rand1(xs, i: int, F: float, draw) -> list[float]:
     return [a + F * (b - c) for a, b, c in zip(xs[r1], xs[r2], xs[r3])]
 
 
-def mutate_best(xs, i, F, gbest_index, draw, canonical: bool = False) -> list[float]:
-    """Best-guided mutation. The default places the best individual inside the
-    difference term; ``canonical`` uses it as the base vector instead."""
+def mutate_best(xs, i, F, gbest_index, draw) -> list[float]:
+    """Best-guided mutation ``x_r1 + F * (x_r2 - x_best)``: the best individual
+    sits inside the difference term, with r1 and r2 distinct and not ``i``."""
     r1, r2 = _draw_distinct(draw, range(len(xs)), (i,), 2)
-    if canonical:
-        a, b, c = xs[gbest_index], xs[r1], xs[r2]
-    else:
-        a, b, c = xs[r1], xs[r2], xs[gbest_index]
-    return [u + F * (v - w) for u, v, w in zip(a, b, c)]
+    return [a + F * (b - c) for a, b, c in zip(xs[r1], xs[r2], xs[gbest_index])]
 
 
 def _neighborhood(i: int, k: int, size: int):
@@ -297,7 +292,7 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
             if variant == "rand1":
                 donor = mutate_rand1(xs, i, F, draw)
             elif variant == "best":
-                donor = mutate_best(xs, i, F, gbest, draw, config.canonical_best)
+                donor = mutate_best(xs, i, F, gbest, draw)
             else:
                 donor = mutate_degl(
                     xs, i, config.alpha, config.beta, r,

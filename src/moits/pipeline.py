@@ -57,7 +57,6 @@ class HybridConfig:
     alternations: int = 10
     runs: int = 20
     oracle_anchors: bool = False
-    literal_diversification: bool = True
 
     def __post_init__(self):
         if min(self.ts_iterations, self.alternations, self.runs) < 1:
@@ -323,8 +322,7 @@ def stage3_alternate(
         pop = de.run(problem_k, config.de, objective, draw, initial=pop)
         for i, member in enumerate(pop):
             rounded = tabu.stochastic_round(member.x, draw)
-            j = tabu.tabu_search(rounded, config.ts_iterations, evaluator, draw,
-                                 literal_diversification=config.literal_diversification)
+            j = tabu.tabu_search(rounded, config.ts_iterations, evaluator, draw)
             if evaluator.key(j) < deb_key(objective.fitness(member.eval), member.eval.violation):
                 pop[i] = de.Individual(np.asarray(evaluator.point(j), dtype=float),
                                        evaluator.evaluation(j))

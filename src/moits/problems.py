@@ -27,7 +27,6 @@ __all__ = [
     "pareto_filter",
     "brute_force_pareto",
     "feasible_lattice",
-    "deb_better",
     "deb_key",
 ]
 
@@ -203,15 +202,3 @@ def deb_key(fitness: float, violation: float):
     if violation > 0.0:
         return (1, violation)
     return (0, fitness)
-
-
-def deb_better(a: Evaluation, b: Evaluation, scalar_index: int = -1) -> bool:
-    """True iff ``a`` strictly precedes ``b`` under the feasibility rules.
-
-    ``scalar_index`` selects the objective used as scalar fitness; -1 means
-    objective 0. Ties return False (the incumbent is kept).
-    """
-    idx = 0 if scalar_index == -1 else scalar_index
-    if not 0 <= idx < len(a.objectives_min):
-        raise IndexError(f"objective index {idx} out of range")
-    return deb_key(a.objectives_min[idx], a.violation) < deb_key(b.objectives_min[idx], b.violation)

@@ -43,25 +43,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .problems import Evaluation, Problem, deb_key, evaluate
 
-__all__ = ["TabuState", "CachedEvaluator", "stochastic_round", "tabu_move", "tabu_search"]
+__all__ = ["CachedEvaluator", "stochastic_round", "tabu_move", "tabu_search"]
 
 # lattices with fewer points keep keys in dense lists
 DENSE_LIMIT = 1 << 16
-
-
-@dataclass
-class TabuState:
-    """Last-update iteration per variable."""
-
-    t: list[int]
-
-    @classmethod
-    def fresh(cls, n: int) -> "TabuState":
-        return cls(t=[-n] * n)
 
 
 class CachedEvaluator:
@@ -143,10 +131,9 @@ def tabu_move(
     i: int,
     star: int,
     k: int,
-    state: TabuState,
+    t: list[int],
     evaluator: CachedEvaluator,
     draw: Callable[[], float],
-    literal_diversification: bool = True,
     moves: int = 1,
 ) -> tuple[int, int]:
     """Run ``moves`` moves, numbered ``k, k + 1, ...``, from flat index ``i``,
@@ -162,17 +149,21 @@ def tabu_move(
     aspiration level (first ``star``'s key) becomes the new best index, as if
     it were passed as ``star`` to the next move. ``draw()`` returns the
     next uniform in [0, 1): two per kick, then one per variable per scan
-    (``rng.random`` itself will do). Every stamp in ``state.t`` must be at
-    most ``k``, as it is along a walk.
+    (``rng.random`` itself will do).
+
+    ``t`` is the tabu memory, one entry per variable: the number of the last
+    move along that variable (a scan's winning variable or a kick's
+    coordinate), or ``-n`` for a variable not yet moved, so that a fresh
+    memory is stale at move 1. The call updates it in place. Every entry must
+    be at most ``k``, as it is along a walk.
     """
-    t = state.t
     n = len(t)
     keys, key = evaluator._keys, evaluator.key
     strides, radix, axes = evaluator.strides, evaluator.radix, evaluator.axes
     star_key = keys[star] or key(star)
     last = max(t)  # stamps only grow, so the newest stamp is the largest
     for k in range(k, k + moves):
-        if literal_diversification and k - last > n:
+        if k - last > n:
             c = int(draw() * n)
             s, r = strides[c], radix[c]
             t[c] = last = k
@@ -208,7 +199,6 @@ def tabu_search(
     iterations: int,
     evaluator: CachedEvaluator,
     draw: Callable[[], float],
-    literal_diversification: bool = True,
 ) -> int:
     """Refine ``x0`` for the given number of moves under ``evaluator``, which
     carries the problem and the objective and may be shared across searches;
@@ -221,5 +211,5 @@ def tabu_search(
     i = evaluator.index(tuple(int(v) for v in x0))
     if iterations <= 0:  # tabu_move would read the start's key even for no moves
         return i
-    return tabu_move(i, i, 1, TabuState.fresh(evaluator.problem.dimension), evaluator, draw,
-                     literal_diversification, iterations)[1]
+    n = evaluator.problem.dimension
+    return tabu_move(i, i, 1, [-n] * n, evaluator, draw, iterations)[1]

@@ -23,12 +23,10 @@ import numpy as np
 __all__ = [
     "DecisionMatrix",
     "TopsisRanking",
-    "build_matrix",
     "normalize",
     "ideal_solutions",
     "closeness",
     "rank",
-    "best_alternative",
     "cost_closeness",
 ]
 
@@ -75,23 +73,6 @@ class TopsisRanking:
     d_minus: np.ndarray
     closeness: np.ndarray
     order: tuple[int, ...]
-
-
-def build_matrix(evaluations, weights=None) -> DecisionMatrix:
-    """Decision matrix over candidate solutions: d objective columns plus the
-    violation column, every criterion cost. Weights default to uniform."""
-    if not evaluations:
-        raise ValueError("cannot build a decision matrix from zero evaluations")
-    d = len(evaluations[0].objectives_min)
-    if any(len(ev.objectives_min) != d for ev in evaluations):
-        raise ValueError("evaluations have inconsistent objective counts")
-    entries = np.array(
-        [list(ev.objectives_min) + [ev.violation] for ev in evaluations], dtype=float
-    )
-    ncols = d + 1
-    if weights is None:
-        weights = np.full(ncols, 1.0 / ncols)
-    return DecisionMatrix(entries, (COST,) * ncols, np.asarray(weights, dtype=float))
 
 
 def normalize(entries: np.ndarray) -> np.ndarray:
@@ -141,11 +122,6 @@ def rank(matrix: DecisionMatrix) -> TopsisRanking:
     d_plus, d_minus, xi = closeness(normalized, positive, negative, matrix.weights)
     order = tuple(int(i) for i in np.argsort(-xi, kind="stable"))
     return TopsisRanking(normalized, positive, negative, d_plus, d_minus, xi, order)
-
-
-def best_alternative(ranking: TopsisRanking) -> int:
-    """Row index of the alternative with the greatest closeness coefficient."""
-    return ranking.order[0]
 
 
 def cost_closeness(entries: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from moits.problems import (
     feasible_lattice,
     pareto_filter,
 )
-from moits.tabu import CachedEvaluator, TabuState, stochastic_round, tabu_move, tabu_search
+from moits.tabu import CachedEvaluator, stochastic_round, tabu_move, tabu_search
 from moits.topsis import DecisionMatrix, COST, rank
 
 MASTER_SEED = 20260823
@@ -257,11 +257,11 @@ class TestCriterion3Tabu:
         evaluator = CachedEvaluator(problem, objective)
         rng = np.random.default_rng(5)
         x = x_star = (16, 16)
-        state = TabuState.fresh(2)
+        t = [-2, -2]
         keys = [evaluator.key(evaluator.index(x_star))]
         for k in range(1, 300):
             x = evaluator.point(tabu_move(
-                evaluator.index(x), evaluator.index(x_star), k, state, evaluator, rng.random
+                evaluator.index(x), evaluator.index(x_star), k, t, evaluator, rng.random
             )[0])
             if evaluator.key(evaluator.index(x)) < evaluator.key(evaluator.index(x_star)):
                 x_star = x
@@ -269,39 +269,44 @@ class TestCriterion3Tabu:
         assert all(b <= a for a, b in zip(keys, keys[1:]))
 
     def test_tenure_stamped_after_every_accepted_move(self):
-        # scan branch only: the diversification kick stamps its coordinate
+        # scan moves only: the diversification kick stamps its coordinate
         # even when the resampled value happens to equal the current one,
-        # so it is exercised separately below
+        # so it is exercised separately below. A move is a kick by the
+        # kernel's own rule, when every stamp is more than n moves old.
         problem = benchmark("p2").problem
         objective = single_objective(1, 3)
         evaluator = CachedEvaluator(problem, objective)
         rng = np.random.default_rng(6)
+        n = problem.dimension
         x = x_star = (0, 0)
-        state = TabuState.fresh(2)
+        t = [-n] * n
+        scans = 0
         for k in range(1, 200):
-            before = list(state.t)
+            before = list(t)
             moved = evaluator.point(tabu_move(
-                evaluator.index(x), evaluator.index(x_star), k, state, evaluator, rng.random,
-                literal_diversification=False,
+                evaluator.index(x), evaluator.index(x_star), k, t, evaluator, rng.random
             )[0])
-            if moved != x:
-                stamped = [j for j in range(2) if state.t[j] == k and before[j] != k]
-                assert len(stamped) == 1
-            else:
-                assert state.t == before
+            if k - max(before) <= n:
+                scans += 1
+                if moved != x:
+                    stamped = [j for j in range(n) if t[j] == k and before[j] != k]
+                    assert len(stamped) == 1
+                else:
+                    assert t == before
             x = moved
             if evaluator.key(evaluator.index(x)) < evaluator.key(evaluator.index(x_star)):
                 x_star = x
+        assert scans >= 100
 
     def test_diversification_kick_stamps_its_coordinate(self):
         problem = benchmark("p2").problem
         evaluator = CachedEvaluator(problem, single_objective(0, 3))
         rng = np.random.default_rng(9)
         for k in range(1, 50):
-            state = TabuState.fresh(2)  # stale memory forces the kick
+            t = [-2, -2]  # stale memory forces the kick
             start = evaluator.index((5, 5))
-            tabu_move(start, start, k, state, evaluator, rng.random)
-            assert state.t.count(k) == 1
+            tabu_move(start, start, k, t, evaluator, rng.random)
+            assert t.count(k) == 1
 
     def test_1d_unimodal_completeness(self):
         objective = single_objective(0, 1)

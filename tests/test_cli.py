@@ -92,11 +92,21 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     def test_bad_config_key_exits_1(self, tmp_path, capsys):
+        # an unknown key, and the keys of two options that no longer exist
         path = tmp_path / "bad.json"
-        path.write_text('{"nope": 1}')
-        code = main(["solve", "--problem", "p3", "--config", str(path)])
-        assert code == 1
-        assert "nope" in capsys.readouterr().err
+        for text, key in [('{"nope": 1}', "nope"),
+                          ('{"literal_diversification": false}', "literal_diversification"),
+                          ('{"canonical_best": true}', "canonical_best")]:
+            path.write_text(text)
+            code = main(["solve", "--problem", "p3", "--config", str(path)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and key in err
+
+    def test_canonical_best_flag_exits_2(self):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--problem", "p3", "--canonical-best"])
+        assert err.value.code == 2
 
     @pytest.mark.parametrize(
         "text",

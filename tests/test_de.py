@@ -135,12 +135,6 @@ class TestMutation:
         donor = mutate_best(rows(pop), 3, 0.8, gbest_index=1, draw=None)
         np.testing.assert_allclose(donor, [0.0, 0.0])
 
-    def test_best_canonical_form(self, monkeypatch):
-        pop = make_pop([(0, 0), (4, 4), (7, 7), (2, 2)])
-        monkeypatch.setattr(de, "_draw_distinct", lambda draw, pool, excl, n: [0, 1])
-        donor = mutate_best(rows(pop), 3, 0.5, gbest_index=2, draw=None, canonical=True)
-        np.testing.assert_allclose(donor, [5.0, 5.0])
-
     def test_degl_endpoints_exact(self, monkeypatch):
         pop = make_pop([(i, 2 * i) for i in range(6)])
         xs = rows(pop)
@@ -392,10 +386,8 @@ def _reference_mutate_rand1(pop, i, F, rng):
     return pop[r1].x + F * (pop[r2].x - pop[r3].x)
 
 
-def _reference_mutate_best(pop, i, F, gbest_index, rng, canonical=False):
+def _reference_mutate_best(pop, i, F, gbest_index, rng):
     r1, r2 = _reference_draw_distinct(rng, range(len(pop)), (i,), 2)
-    if canonical:
-        return pop[gbest_index].x + F * (pop[r1].x - pop[r2].x)
     return pop[r1].x + F * (pop[r2].x - pop[gbest_index].x)
 
 
@@ -466,7 +458,7 @@ def _reference_run(problem, config, objective, rng, initial=None):
             if variant == "rand1":
                 donor = _reference_mutate_rand1(pop, i, F, rng)
             elif variant == "best":
-                donor = _reference_mutate_best(pop, i, F, gbest, rng, config.canonical_best)
+                donor = _reference_mutate_best(pop, i, F, gbest, rng)
             else:
                 donor = _reference_mutate_degl(
                     pop, i, config.alpha, config.beta, r,
@@ -517,7 +509,6 @@ def de_cases(draw):
         beta=draw(st.sampled_from([0.5, 0.8])),
         neighborhood_k=k,
         variant=draw(st.sampled_from(["rand1", "best", "degl"])),
-        canonical_best=draw(st.booleans()),
     )
     return lower, upper, center, config
 

@@ -251,6 +251,26 @@ class TestEmit:
     def test_dict_round_trip(self, p3_report):
         assert report_from_dict(report_to_dict(p3_report)) == p3_report
 
+    def test_loads_report_with_removed_config_keys(self):
+        # a schema-1 report of an earlier version, whose config still held the
+        # since-removed canonical_best and literal_diversification options
+        text = (
+            '{"config":{"alternations":1,"de":{"alpha":0.8,"beta":0.8,"canonical_best":false,'
+            '"crossover_rate":0.9,"max_iterations":2,"neighborhood_k":2,"population_size":8,'
+            '"scale_factor":0.8,"variant":"best"},"literal_diversification":true,'
+            '"oracle_anchors":false,"runs":2,"ts_iterations":5},'
+            '"counts":[[[7,6],2],[[8,5],1],[[9,5],1],[[10,3],1],[[10,4],1]],"problem":"p3",'
+            '"runs":2,"schema_version":1,"seeds":[10451216379200822465,13757245211066428519],'
+            '"variant":"best","wall_clock":[0.004794092001247918,0.0043581840000115335]}'
+        )
+        report = report_from_dict(json.loads(text))
+        assert (report.problem, report.variant, report.runs, report.schema_version) == (
+            "p3", "best", 2, 1)
+        assert report.counts[0] == ((7, 6), 2)
+        assert report.config["literal_diversification"] is True
+        assert report.config["de"]["canonical_best"] is False
+        assert report_csv(report).splitlines()[1] == '"(7,6)",2,100.0,best,p3'
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit(tiny_report(), "xml", io.StringIO())

@@ -10,7 +10,7 @@ from moits.problems import (
     Evaluation,
     Problem,
     brute_force_pareto,
-    deb_better,
+    deb_key,
     dominates,
     evaluate,
     pareto_filter,
@@ -210,27 +210,22 @@ class TestBruteForce:
         assert {key for key, _ in brute_force_pareto(problem)} == expected
 
 
-class TestDebBetter:
+class TestDebKey:
+    """A strictly smaller key wins under the feasibility rules."""
+
     def test_feasible_beats_infeasible(self):
-        assert deb_better(ev(5, violation=0.0), ev(1, violation=2.0))
+        assert deb_key(5.0, 0.0) < deb_key(1.0, 2.0)
 
     def test_fitness_among_feasibles(self):
-        assert deb_better(ev(1), ev(5))
-        assert not deb_better(ev(5), ev(1))
+        assert deb_key(1.0, 0.0) < deb_key(5.0, 0.0)
+        assert not deb_key(5.0, 0.0) < deb_key(1.0, 0.0)
 
     def test_violation_among_infeasibles(self):
-        assert not deb_better(ev(0, violation=3.0), ev(0, violation=1.0))
-        assert deb_better(ev(0, violation=1.0), ev(0, violation=3.0))
+        assert not deb_key(0.0, 3.0) < deb_key(0.0, 1.0)
+        assert deb_key(0.0, 1.0) < deb_key(0.0, 3.0)
 
     def test_tie_keeps_incumbent(self):
-        assert not deb_better(ev(2), ev(2))
-
-    def test_scalar_index_selection(self):
-        assert deb_better(ev(9, 1), ev(0, 2), scalar_index=1)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            deb_better(ev(1), ev(2), scalar_index=5)
+        assert not deb_key(2.0, 0.0) < deb_key(2.0, 0.0)
 
 
 class TestProblemValidation:

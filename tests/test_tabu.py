@@ -13,7 +13,6 @@ from moits.problems import Evaluation, Problem, deb_key, evaluate, feasible_latt
 from moits.tabu import (
     DENSE_LIMIT,
     CachedEvaluator,
-    TabuState,
     stochastic_round,
     tabu_move,
     tabu_search,
@@ -87,78 +86,57 @@ class TestCachedEvaluator:
         assert ev.key(ev.index((4, 4))) == deb_key(obj.fitness(e), e.violation)
 
 
-def move(x, x_star, k, state, evaluator, rng, literal_diversification=True):
+def move(x, x_star, k, t, evaluator, rng):
     """``tabu_move`` on points instead of flat indices, drawing from ``rng``."""
-    i = tabu_move(evaluator.index(x), evaluator.index(x_star), k, state, evaluator,
-                  rng.random, literal_diversification)[0]
+    i = tabu_move(evaluator.index(x), evaluator.index(x_star), k, t, evaluator, rng.random)[0]
     return evaluator.point(i)
 
 
 class TestTabuMove:
     def test_improving_neighbor_taken_and_stamped(self):
         ev = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
-        state = TabuState.fresh(2)
-        state.t = [0, 0]  # recent enough to skip the diversification branch
-        moved = move((0, 0), (0, 0), k=1, state=state, evaluator=ev,
-                     rng=np.random.default_rng(0))
+        t = [0, 0]  # recent enough to skip the diversification branch
+        moved = move((0, 0), (0, 0), k=1, t=t, evaluator=ev, rng=np.random.default_rng(0))
         assert moved == (1, 0)
-        assert state.t[0] == 1 and state.t[1] == 0
+        assert t[0] == 1 and t[1] == 0
 
     def test_no_qualifying_move_returns_input_unstamped(self):
         # x is the unconstrained optimum: every neighbor is worse
         ev = CachedEvaluator(quad_problem(center=(2, -3)), OBJ1)
-        state = TabuState.fresh(2)
-        state.t = [0, 0]
-        before = list(state.t)
-        moved = move((2, -3), (2, -3), k=1, state=state, evaluator=ev,
-                     rng=np.random.default_rng(0))
+        t = [0, 0]
+        moved = move((2, -3), (2, -3), k=1, t=t, evaluator=ev, rng=np.random.default_rng(0))
         assert moved == (2, -3)
-        assert state.t == before
+        assert t == [0, 0]
 
     def test_tabu_blocks_recent_variable_without_aspiration(self):
         # both variables stamped this iteration; the improving move toward the
         # center does not beat the overall best, so nothing is admissible
         ev = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
-        state = TabuState(t=[5, 5])
-        moved = move((0, 0), (2, 0), k=5, state=state, evaluator=ev,
-                     rng=np.random.default_rng(0))
+        moved = move((0, 0), (2, 0), k=5, t=[5, 5], evaluator=ev, rng=np.random.default_rng(0))
         assert moved == (0, 0)
 
     def test_aspiration_overrides_tabu(self):
         # same stamps, but the move lands on a point better than the best yet
         ev = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
-        state = TabuState(t=[5, 5])
-        moved = move((1, 0), (0, 0), k=5, state=state, evaluator=ev,
-                     rng=np.random.default_rng(0))
+        moved = move((1, 0), (0, 0), k=5, t=[5, 5], evaluator=ev, rng=np.random.default_rng(0))
         assert moved == (2, 0)
 
     def test_diversification_when_memory_stale(self):
         ev = CachedEvaluator(quad_problem(), OBJ1)
-        state = TabuState.fresh(2)  # t = [-2, -2], k - t_j > n for any k >= 1
         rng = np.random.default_rng(0)
         problem = ev.problem
         for k in range(1, 20):
-            state.t = [-2, -2]
-            moved = move((0, 0), (0, 0), k=k, state=state, evaluator=ev, rng=rng)
+            t = [-2, -2]  # a fresh memory: k - t_j > n for any k >= 1
+            moved = move((0, 0), (0, 0), k=k, t=t, evaluator=ev, rng=rng)
             changed = [j for j in range(2) if moved[j] != 0]
             assert len(changed) <= 1
-            assert state.t.count(k) == 1  # exactly one coordinate stamped
+            assert t.count(k) == 1  # exactly one coordinate stamped
             for j, v in enumerate(moved):
                 assert problem.lower_bounds[j] <= v <= problem.upper_bounds[j]
 
-    def test_diversification_disabled(self):
-        ev = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
-        state = TabuState.fresh(2)
-        moved = move((0, 0), (0, 0), k=1, state=state, evaluator=ev,
-                     rng=np.random.default_rng(0), literal_diversification=False)
-        assert moved == (1, 0)  # falls through to the neighborhood scan
-
     def test_respects_bounds(self):
         ev = CachedEvaluator(quad_problem(lower=(0, 0), upper=(3, 3), center=(-5, -5)), OBJ1)
-        state = TabuState.fresh(2)
-        state.t = [0, 0]
-        moved = move((0, 0), (0, 0), k=1, state=state, evaluator=ev,
-                     rng=np.random.default_rng(0))
+        moved = move((0, 0), (0, 0), k=1, t=[0, 0], evaluator=ev, rng=np.random.default_rng(0))
         assert all(0 <= v <= 3 for v in moved)
 
 
@@ -249,13 +227,12 @@ class _ReferenceEvaluator:
         return k
 
 
-def _reference_tabu_move(x, x_star, k, state, evaluator, rng, literal_diversification=True):
+def _reference_tabu_move(x, x_star, k, t, evaluator, rng):
     problem = evaluator.problem
     n = problem.dimension
     lo, up = problem.lower_bounds, problem.upper_bounds
-    t = state.t
 
-    if literal_diversification and all(k - tj > n for tj in t):
+    if all(k - tj > n for tj in t):
         c = int(rng.random() * n)
         value = lo[c] + int(rng.random() * (up[c] - lo[c] + 1))
         moved = list(x)
@@ -285,13 +262,13 @@ def _reference_tabu_move(x, x_star, k, state, evaluator, rng, literal_diversific
     return best
 
 
-def _reference_tabu_search(x0, iterations, rng, evaluator, literal_diversification):
+def _reference_tabu_search(x0, iterations, rng, evaluator):
     n = evaluator.problem.dimension
     x = tuple(int(v) for v in x0)
     x_star = x
-    state = TabuState.fresh(n)
+    t = [-n] * n
     for k in range(1, iterations + 1):
-        x = _reference_tabu_move(x, x_star, k, state, evaluator, rng, literal_diversification)
+        x = _reference_tabu_move(x, x_star, k, t, evaluator, rng)
         if evaluator.key(x) < evaluator.key(x_star):
             x_star = x
     return x_star
@@ -322,18 +299,14 @@ class TestKernelMatchesReference:
     @given(
         box=boxes(),
         iterations=st.sampled_from([0, 1, 7, 256, 257, 549]),
-        literal=st.booleans(),
         searches=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
         block=st.sampled_from([1, 2, 7, de.BLOCK]),
     )
-    @example(box=([-3], [5], [0], 9), iterations=549, literal=True, searches=2, seed=1,
+    @example(box=([-3], [5], [0], 9), iterations=549, searches=2, seed=1, block=de.BLOCK)
+    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), iterations=257, searches=3, seed=2,
              block=de.BLOCK)
-    @example(box=([-3], [5], [0], 9), iterations=549, literal=False, searches=2, seed=1,
-             block=de.BLOCK)
-    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), iterations=257, literal=True,
-             searches=3, seed=2, block=de.BLOCK)
-    def test_same_best_and_generator_state(self, box, iterations, literal, searches, seed, block):
+    def test_same_best_and_generator_state(self, box, iterations, searches, seed, block):
         # one evaluator of each kind shared by all searches, as in stage 3
         problem = box_problem(*box)
         kernel, reference = CachedEvaluator(problem, OBJ1), _ReferenceEvaluator(problem, OBJ1)
@@ -347,10 +320,10 @@ class TestKernelMatchesReference:
             with mock.patch.object(de, "BLOCK", block):
                 draw, settle = de.block_draws(kernel_rng)
             try:
-                best = tabu_search(x0, iterations, kernel, draw, literal_diversification=literal)
+                best = tabu_search(x0, iterations, kernel, draw)
             finally:
                 settle()
-            expected = _reference_tabu_search(x0, iterations, reference_rng, reference, literal)
+            expected = _reference_tabu_search(x0, iterations, reference_rng, reference)
             assert kernel.point(best) == expected
             assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
         # the same lazy misses: the kernel evaluated exactly the reference's points
@@ -371,7 +344,7 @@ class TestKernelMatchesReference:
         kernel = CachedEvaluator(problem, OBJ1)
         best = tabu_search((-4, -4), 768, kernel, kernel_rng.random)
         expected = _reference_tabu_search((-4, -4), 768, reference_rng,
-                                          _ReferenceEvaluator(problem, OBJ1), True)
+                                          _ReferenceEvaluator(problem, OBJ1))
         assert kernel.point(best) == expected
 
     @pytest.mark.parametrize("seed", range(4))
@@ -394,7 +367,7 @@ class TestKernelMatchesReference:
                 settle()
         with pytest.raises(ValueError, match="non-finite"):
             _reference_tabu_search((-5, 5), 1000, reference_rng,
-                                   _ReferenceEvaluator(problem, OBJ1), True)
+                                   _ReferenceEvaluator(problem, OBJ1))
         assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -403,12 +376,11 @@ class TestMultiMoveKernel:
     @given(
         box=boxes(),
         moves=st.integers(1, 60),
-        literal=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(box=([-3], [5], [0], 9), moves=40, literal=True, seed=1)
-    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), moves=60, literal=False, seed=2)
-    def test_one_call_equals_single_moves(self, box, moves, literal, seed):
+    @example(box=([-3], [5], [0], 9), moves=40, seed=1)
+    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), moves=60, seed=2)
+    def test_one_call_equals_single_moves(self, box, moves, seed):
         problem = box_problem(*box)
         n = problem.dimension
         rng = np.random.default_rng(seed)
@@ -417,22 +389,21 @@ class TestMultiMoveKernel:
         stamps = [int(v) for v in rng.integers(-n, k, n)]  # older than move k
         uniforms = rng.random(moves * max(n, 2)).tolist()
 
-        evaluator, state = CachedEvaluator(problem, OBJ1), TabuState(list(stamps))
+        evaluator, t = CachedEvaluator(problem, OBJ1), list(stamps)
         draws = iter(uniforms)
-        last, best = tabu_move(start, star, k, state, evaluator, draws.__next__, literal, moves)
+        last, best = tabu_move(start, star, k, t, evaluator, draws.__next__, moves)
 
         # the same moves one call each, the caller keeping the best index
-        single, single_state = CachedEvaluator(problem, OBJ1), TabuState(list(stamps))
+        single, single_t = CachedEvaluator(problem, OBJ1), list(stamps)
         single_draws = iter(uniforms)
         i, single_best = start, star
         for step in range(k, k + moves):
-            i = tabu_move(i, single_best, step, single_state, single, single_draws.__next__,
-                          literal)[0]
+            i = tabu_move(i, single_best, step, single_t, single, single_draws.__next__)[0]
             if single.key(i) < single.key(single_best):
                 single_best = i
         assert best == single_best
         assert last == i
-        assert state.t == single_state.t
+        assert t == single_t
         assert operator.length_hint(draws) == operator.length_hint(single_draws)
         assert set(evaluator.evals) == set(single.evals)
 

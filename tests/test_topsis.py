@@ -8,8 +8,6 @@ from moits.topsis import (
     BENEFIT,
     COST,
     DecisionMatrix,
-    best_alternative,
-    build_matrix,
     closeness,
     cost_closeness,
     ideal_solutions,
@@ -27,32 +25,7 @@ def cost_matrix(entries, weights=None):
 
 
 class TestBuildMatrix:
-    def test_layout_and_default_weights(self):
-        evals = [
-            Evaluation((1.0, 2.0, 3.0), 0.5),
-            Evaluation((4.0, 5.0, 6.0), 0.0),
-        ]
-        matrix = build_matrix(evals)
-        assert matrix.entries.shape == (2, 4)
-        assert matrix.entries[0].tolist() == [1.0, 2.0, 3.0, 0.5]
-        assert matrix.criteria_senses == (COST,) * 4
-        np.testing.assert_allclose(matrix.weights, 0.25)
-
-    def test_single_evaluation(self):
-        matrix = build_matrix([Evaluation((7.0,), 0.0)])
-        assert matrix.entries.tolist() == [[7.0, 0.0]]
-
-    def test_population_sized_matrix(self):
-        evals = [Evaluation((float(i), float(-i)), 0.0) for i in range(40)]
-        assert build_matrix(evals).entries.shape == (40, 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            build_matrix([])
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            build_matrix([Evaluation((1.0,), 0.0)], weights=[0.3, 0.3])
+    """A DecisionMatrix refuses non-finite entries and weights."""
 
     @pytest.mark.parametrize("entries, weights, name", [
         ([[1.0, np.nan], [2.0, 3.0]], [0.5, 0.5], "entries"),
@@ -120,14 +93,14 @@ class TestCloseness:
 class TestBestAlternative:
     def test_argmax(self):
         ranking = rank(cost_matrix([[5.0], [1.0], [3.0]]))
-        assert best_alternative(ranking) == 1
+        assert ranking.order[0] == 1
 
     def test_tie_breaks_to_lowest_index(self):
         ranking = rank(cost_matrix([[2.0, 3.0], [2.0, 3.0]]))
-        assert best_alternative(ranking) == 0
+        assert ranking.order[0] == 0
 
     def test_single_alternative(self):
-        assert best_alternative(rank(cost_matrix([[9.0]]))) == 0
+        assert rank(cost_matrix([[9.0]])).order[0] == 0
 
 
 class TestProperties:
