@@ -69,9 +69,6 @@ class ExperimentReport:
                 return count
         return 0
 
-    def rate_percent(self, solution) -> float:
-        return 100.0 * self.count_of(solution) / self.runs
-
 
 def _solve_run(args):
     spec, config, seed = args

@@ -6,7 +6,9 @@ functions, to the ideal and to the anti-ideal, and locates their extreme
 points. Stage 3 maximizes the minimum of two piecewise-linear membership
 functions of those distances (the fuzzy max-min compromise), alternating the
 evolution engine with tabu-search refinement of every population member and
-archiving each feasible integer result.
+archiving each feasible integer point the walks evaluated. Stage 3 stops as
+soon as its walks have evaluated every lattice point of the box: the archive
+is then final, and further moves could only revisit known points.
 
 Constraints enter the pipeline as an extra minimization objective, the
 maximum violation G(x): a ``VIOLATION`` slot that evaluation fills from the
@@ -314,9 +316,15 @@ def stage3_alternate(
     archive takes every feasible lattice point the walks evaluated, landing
     or scan neighbour, decoded from its flat index; it is Pareto-filtered on
     the original objectives and carries ``anchors``.
+
+    Both loops stop after the first tabu search that leaves every point of
+    the box evaluated, feasible or not: no later move can add to the
+    archive. The skipped searches and DE runs draw no uniforms, so the stop
+    changes only the state in which ``draw`` is left.
     """
     objective = maxmin_objective(anchors)
     evaluator = tabu.CachedEvaluator(problem_k, objective)
+    lattice_size = problem_k.lattice_size()
     pop = de.init_population(problem_k, config.de, draw)
     for _ in range(config.alternations):
         pop = de.run(problem_k, config.de, objective, draw, initial=pop)
@@ -326,6 +334,10 @@ def stage3_alternate(
             if evaluator.key(j) < deb_key(objective.fitness(member.eval), member.eval.violation):
                 pop[i] = de.Individual(np.asarray(evaluator.point(j), dtype=float),
                                        evaluator.evaluation(j))
+            if len(evaluator.evals) == lattice_size:
+                break
+        if len(evaluator.evals) == lattice_size:
+            break
     archive = SolutionArchive(anchors)
     # sort only the feasible indices; index order is the points' lexicographic order
     evals = evaluator.evals

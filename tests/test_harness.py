@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from dataclasses import replace
@@ -89,7 +90,9 @@ class TestRunExperiment:
     def test_count_of_and_rate(self, p3_report):
         sol, count = p3_report.counts[0]
         assert p3_report.count_of(sol) == count
-        assert p3_report.rate_percent(sol) == 100.0 * count / 3
+        rates = {row["solution"]: float(row["rate_percent"])
+                 for row in csv.DictReader(io.StringIO(report_csv(p3_report)))}
+        assert rates[_format_solution(sol)] == 100.0 * count / 3
         assert p3_report.count_of((99, 99)) == 0
 
     def test_counts_run_membership(self, monkeypatch):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moits import de
+from moits import de, tabu
 from moits.benchmarks import benchmark
 from moits.de import DEConfig
 from moits.pipeline import (
@@ -239,6 +239,18 @@ def _sum_of(x):
     return float(sum(x))
 
 
+def _first(x):
+    return float(x[0])
+
+
+def _squared_distance_to_middle(x):
+    return float(sum((v - 50) ** 2 for v in x))
+
+
+def _first_two_over_150(x):
+    return float(x[0] + x[1] - 150)
+
+
 @pytest.fixture
 def de_runs(monkeypatch):
     """Record the objective label of every evolution run."""
@@ -386,3 +398,47 @@ class TestSolve:
         archive = solve(problem, SMALL, np.random.default_rng(0))
         assert isinstance(archive.anchors, CompromiseAnchors)
         assert SolutionArchive().anchors is None  # an archive built by hand has none
+
+
+@pytest.fixture
+def tabu_searches(monkeypatch):
+    """Record the move budget of every tabu search."""
+    calls = []
+    real = tabu.tabu_search
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tabu, "tabu_search", spy)
+    return calls
+
+
+class TestStage3Stop:
+    def test_stops_once_every_lattice_point_is_evaluated(self, tabu_searches, de_runs):
+        # p1's 35 lattice points are all evaluated well within one alternation
+        config = HybridConfig()
+        problem = benchmark("p1").problem
+        archive = solve(problem, config, np.random.default_rng(0))
+        assert 0 < len(tabu_searches) < config.alternations * config.de.population_size
+        assert de_runs.count("maxmin_alpha") < config.alternations
+        assert archive.solutions() == [key for key, _ in brute_force_pareto(problem)]
+
+    def test_box_the_walks_cannot_exhaust_runs_every_search(self, tabu_searches, de_runs):
+        problem = Problem(
+            dimension=3,
+            objectives=((_squared_distance_to_middle, "min"), (_first, "min")),
+            constraints=(_first_two_over_150,),
+            lower_bounds=(0, 0, 0),
+            upper_bounds=(99, 99, 99),
+            name="wide-box",
+        )
+        config = HybridConfig(
+            de=DEConfig(population_size=10, max_iterations=10),
+            ts_iterations=50,
+            alternations=2,
+        )
+        archive = solve(problem, config, np.random.default_rng(0))
+        assert tabu_searches == [50] * (config.alternations * config.de.population_size)
+        assert de_runs.count("maxmin_alpha") == config.alternations
+        assert len(archive) > 0
