@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pipeline
 from .benchmarks import BenchmarkSpec
-from .problems import brute_force_pareto, dominates, evaluate, feasible_lattice
+from .problems import dominates, evaluate, feasible_lattice, pareto_filter
 
 __all__ = [
     "ExperimentReport",
@@ -61,13 +61,6 @@ class ExperimentReport:
     wall_clock: tuple[float, ...]
     config: dict
     schema_version: int = SCHEMA_VERSION
-
-    def count_of(self, solution) -> int:
-        key = tuple(solution)
-        for sol, count in self.counts:
-            if sol == key:
-                return count
-        return 0
 
 
 def _solve_run(args):
@@ -143,19 +136,12 @@ class VerificationReport:
     pareto_size: int
     checks: tuple[SolutionCheck, ...]
 
-    def check_of(self, solution) -> SolutionCheck:
-        key = tuple(solution)
-        for check in self.checks:
-            if check.solution == key:
-                return check
-        raise KeyError(f"{key} was not verified")
-
 
 def verify_known(spec: BenchmarkSpec) -> VerificationReport:
     """Cross-check every published target against the exhaustive lattice oracle:
     feasibility, Pareto membership, and any lattice points dominating it."""
-    front = {key for key, _ in brute_force_pareto(spec.problem)}
     lattice = feasible_lattice(spec.problem)
+    front = {key for key, _ in pareto_filter(lattice)}
     targets = list(dict.fromkeys(spec.known_solutions + spec.reported_solutions))
     checks = []
     for solution in targets:

@@ -264,19 +264,22 @@ def maxmin_objective(anchors) -> de.ScalarObjective:
     return de.ScalarObjective("maxmin_alpha", lambda f: -maxmin_satisfaction(f, anchors))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArchiveEntry:
     evaluation: Evaluation
 
 
+@dataclass(frozen=True)
 class SolutionArchive:
     """The distinct feasible integer solutions one run found, each with its
     evaluation; ``anchors`` are those of the run that built it.
     """
 
-    def __init__(self, anchors: CompromiseAnchors | None = None):
-        self.entries: dict[tuple[int, ...], ArchiveEntry] = {}
-        self.anchors = anchors
+    entries: dict[tuple[int, ...], ArchiveEntry]
+    anchors: CompromiseAnchors | None = None
+
+    # stage 3 calls neither add nor finalize_pareto; perfbench/trace.py
+    # still instruments both by name, so they stay until it stops
 
     def add(self, x, evaluation: Evaluation) -> None:
         if evaluation.violation != 0.0:
@@ -286,13 +289,10 @@ class SolutionArchive:
             self.entries[key] = ArchiveEntry(evaluation)
 
     def finalize_pareto(self) -> None:
-        """Drop entries dominated by another archived entry."""
+        """Drop entries dominated by another archived entry, in place."""
         kept = pareto_filter([(key, e.evaluation) for key, e in self.entries.items()])
-        keep_keys = {key for key, _ in kept}
-        self.entries = {k: e for k, e in self.entries.items() if k in keep_keys}
-
-    def __contains__(self, key) -> bool:
-        return tuple(key) in self.entries
+        for key in self.entries.keys() - {key for key, _ in kept}:
+            del self.entries[key]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -313,9 +313,10 @@ def stage3_alternate(
     Each alternation runs the configured variant for its full iteration
     budget, then rounds and tabu-refines every population member, writing the
     result back into the population when it improves the incumbent. The
-    archive takes every feasible lattice point the walks evaluated, landing
-    or scan neighbour, decoded from its flat index; it is Pareto-filtered on
-    the original objectives and carries ``anchors``.
+    archive is one :func:`pareto_filter` call, on the original objectives,
+    over every feasible lattice point the walks evaluated, landing or scan
+    neighbour, decoded from its flat index; it carries ``anchors``. The kept
+    set does not depend on the order of the points.
 
     Both loops stop after the first tabu search that leaves every point of
     the box evaluated, feasible or not: no later move can add to the
@@ -338,13 +339,9 @@ def stage3_alternate(
                 break
         if len(evaluator.evals) == lattice_size:
             break
-    archive = SolutionArchive(anchors)
-    # sort only the feasible indices; index order is the points' lexicographic order
-    evals = evaluator.evals
-    for j in sorted(j for j, ev in evals.items() if ev.violation == 0.0):
-        archive.add(evaluator.point(j), Evaluation(evals[j].objectives_min[:d_original], 0.0))
-    archive.finalize_pareto()
-    return archive
+    front = pareto_filter((evaluator.point(j), Evaluation(ev.objectives_min[:d_original], 0.0))
+                          for j, ev in evaluator.evals.items() if ev.violation == 0.0)
+    return SolutionArchive({x: ArchiveEntry(ev) for x, ev in front}, anchors)
 
 
 def compute_anchors(problem: Problem, config: HybridConfig, draw):
@@ -362,7 +359,7 @@ def solve(problem: Problem, config: HybridConfig, rng) -> SolutionArchive:
     """One full run: anchors, then the alternating stage-3 search, all drawing
     from one :func:`moits.de.block_draws` stream on ``rng``, settled at the end.
 
-    Returns the finalized archive; its ``anchors`` attribute holds the
+    Returns the archive; its ``anchors`` attribute holds the
     completed anchors for reporting.
     """
     draw, settle = de.block_draws(rng)

@@ -144,9 +144,9 @@ def dominates(a: Evaluation, b: Evaluation) -> bool:
 def pareto_filter(points):
     """Keep the feasible, mutually non-dominated points.
 
-    ``points`` is a list of ``(vector, Evaluation)`` pairs; duplicate vectors
-    collapse to the first occurrence. Infeasible points (``G > 0``) are
-    discarded before dominance testing. The survivors come back in the order
+    ``points`` is an iterable of ``(vector, Evaluation)`` pairs; duplicate
+    vectors collapse to the first occurrence. Infeasible points (``G > 0``)
+    are discarded before dominance testing. The survivors come back in the order
     of their first occurrence. Objective values must not be NaN, which
     :func:`evaluate` guarantees.
 

@@ -18,12 +18,11 @@ move along variable j is then i -/+ stride_j, and index order is the
 lexicographic order of the points.
 
 Keys: each lattice point's feasibility-rule key is evaluated the first time
-the walk looks at it. :class:`CachedEvaluator` stores the keys in a list with
-one slot per lattice point when the box has fewer than ``DENSE_LIMIT`` points,
-and in a dict otherwise; both read an unfilled slot as ``None``, so the walk
-reads a key as ``keys[i] or key(i)``. Its ``evals`` dict holds the evaluation
-of every point the walks have looked at, which is where a caller harvests
-candidate solutions beyond each search's best.
+the walk looks at it. :class:`CachedEvaluator` stores the keys in a dict that
+reads a missing index as ``None``, so the walk reads a key as
+``keys[i] or key(i)``. Its ``evals`` dict holds the evaluation of every point
+the walks have looked at, which is where a caller harvests candidate
+solutions beyond each search's best.
 
 The kernel: one :func:`tabu_move` call runs a whole search and keeps the
 aspiration level current inside the call: a landing whose key beats the level
@@ -48,21 +47,18 @@ from .problems import Evaluation, Problem, deb_key, evaluate
 
 __all__ = ["CachedEvaluator", "stochastic_round", "tabu_move", "tabu_search"]
 
-# lattices with fewer points keep keys in dense lists
-DENSE_LIMIT = 1 << 16
-
 
 class CachedEvaluator:
     """Memoizes evaluations (and scalar fitness keys) of the lattice points of
     a problem's box.
 
-    Both caches are keyed by the flat index of a point (see the module
+    Both caches are dicts keyed by the flat index of a point (see the module
     docstring); a miss evaluates the decoded point with :func:`evaluate`.
-    Evaluations live in the ``evals`` dict; keys live in a list of ``None``
-    slots, or in a dict reading a miss as ``None`` when the box has
-    ``DENSE_LIMIT`` points or more. The benchmark lattices are tiny compared
-    to the tabu move budget, so the search revisits points constantly;
-    caching makes each neighbour an integer addition and a list lookup.
+    Evaluations live in ``evals``; keys live in a dict that reads a miss as
+    ``None``, so both hold exactly the points looked at, whatever the size of
+    the box. The benchmark lattices are tiny compared to the tabu move
+    budget, so the search revisits points constantly; caching makes each
+    neighbour an integer addition and a dict lookup.
     """
 
     def __init__(self, problem: Problem, objective):
@@ -76,13 +72,9 @@ class CachedEvaluator:
         # (variable, stride, radix) per variable, the scan's loop
         self.axes = tuple(zip(range(problem.dimension), self.strides, self.radix))
         self.evals: dict[int, Evaluation] = {}
-        size = problem.lattice_size()
-        if size < DENSE_LIMIT:
-            self._keys: list | defaultdict = [None] * size
-        else:
-            # a missing index reads as a None slot that key then fills;
-            # NoneType as the factory is a C call, a Python __missing__ is not
-            self._keys = defaultdict(type(None))
+        # a missing index reads as a None slot that key then fills;
+        # NoneType as the factory is a C call, a Python __missing__ is not
+        self._keys = defaultdict(type(None))
 
     def index(self, x) -> int:
         """Flat index of the lattice point ``x``; a point outside the box

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from moits import harness
+from moits import harness, problems
 from moits.benchmarks import benchmark
 from moits.de import DEConfig
 from moits.harness import (
@@ -18,7 +18,7 @@ from moits.harness import (
     verify_known,
 )
 from moits.harness import _format_solution, report_csv, verification_to_dict
-from moits.pipeline import HybridConfig, SolutionArchive
+from moits.pipeline import ArchiveEntry, HybridConfig, SolutionArchive
 from moits.problems import Evaluation, evaluate
 
 SMALL = HybridConfig(
@@ -89,29 +89,26 @@ class TestRunExperiment:
 
     def test_count_of_and_rate(self, p3_report):
         sol, count = p3_report.counts[0]
-        assert p3_report.count_of(sol) == count
+        assert dict(p3_report.counts).get(sol, 0) == count
         rates = {row["solution"]: float(row["rate_percent"])
                  for row in csv.DictReader(io.StringIO(report_csv(p3_report)))}
         assert rates[_format_solution(sol)] == 100.0 * count / 3
-        assert p3_report.count_of((99, 99)) == 0
+        assert dict(p3_report.counts).get((99, 99), 0) == 0
 
     def test_counts_run_membership(self, monkeypatch):
         problem = benchmark("p3").problem
         archives = []
         for run_id in range(SMALL.runs):
-            archive = SolutionArchive()
-            archive.add((9, 5), evaluate(problem, (9, 5)))
-            if run_id == 0:
-                archive.add((10, 4), evaluate(problem, (10, 4)))
-            archives.append(archive)
+            found = [(9, 5), (10, 4)] if run_id == 0 else [(9, 5)]
+            archives.append(SolutionArchive({x: ArchiveEntry(evaluate(problem, x)) for x in found}))
         runs = iter(archives)
         monkeypatch.setattr(harness, "_solve_run", lambda job: (next(runs), 0.5))
         report = run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=1)
         assert report.counts == (((9, 5), 3), ((10, 4), 1))
 
     def test_counted_solutions_rechecked_for_feasibility(self, monkeypatch):
-        archive = SolutionArchive()
-        archive.add((5, 7), Evaluation((0.0, 0.0), 0.0))  # infeasible in p3
+        # infeasible in p3
+        archive = SolutionArchive({(5, 7): ArchiveEntry(Evaluation((0.0, 0.0), 0.0))})
         monkeypatch.setattr(harness, "_solve_run", lambda job: (archive, 0.5))
         with pytest.raises(AssertionError, match=r"\(5, 7\) is infeasible"):
             run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=1)
@@ -182,37 +179,58 @@ class TestWorkerPool:
         assert pool_sizes == []
 
 
+def checks_of(report):
+    return {check.solution: check for check in report.checks}
+
+
 class TestVerifyKnown:
     def test_p1_known_solutions_all_pareto(self):
-        report = verify_known(benchmark("p1"))
+        checks = checks_of(verify_known(benchmark("p1")))
         for sol in [(4, 4), (2, 5), (6, 2), (5, 3)]:
-            check = report.check_of(sol)
+            check = checks[sol]
             assert check.feasible and check.pareto
             assert check.dominated_by == ()
 
     def test_p2_reported_non_pareto_points_flagged(self):
-        report = verify_known(benchmark("p2"))
+        checks = checks_of(verify_known(benchmark("p2")))
         for bad, dominator in [((10, 1), (8, 3)), ((9, 2), (8, 3))]:
-            check = report.check_of(bad)
+            check = checks[bad]
             assert check.feasible and not check.pareto
             assert dominator in check.dominated_by
 
     def test_p3_infeasible_reported_point(self):
-        report = verify_known(benchmark("p3"))
-        check = report.check_of((5, 7))
+        check = checks_of(verify_known(benchmark("p3")))[(5, 7)]
         assert not check.feasible
         assert not check.pareto
 
     def test_p3_main_solution(self):
         report = verify_known(benchmark("p3"))
-        check = report.check_of((9, 5))
+        check = checks_of(report)[(9, 5)]
         assert check.feasible and check.pareto and check.dominated_by == ()
         assert report.pareto_size == 4
 
     def test_unknown_solution_raises(self):
-        report = verify_known(benchmark("p3"))
+        # only the published targets are checked, each once
+        spec = benchmark("p3")
+        report = verify_known(spec)
+        checks = checks_of(report)
+        assert len(checks) == len(report.checks)
+        assert set(checks) == set(spec.known_solutions + spec.reported_solutions)
         with pytest.raises(KeyError):
-            report.check_of((0, 0))
+            checks[(0, 0)]
+
+    def test_lattice_enumerated_once(self, monkeypatch):
+        calls = []
+        real = problems.feasible_lattice
+
+        def spy(problem):
+            calls.append(problem.name)
+            return real(problem)
+
+        monkeypatch.setattr(problems, "feasible_lattice", spy)
+        monkeypatch.setattr(harness, "feasible_lattice", spy)
+        verify_known(benchmark("p2"))
+        assert calls == ["p2"]
 
     def test_serializable(self):
         data = verification_to_dict(verify_known(benchmark("p3")))

@@ -10,13 +10,7 @@ from moits import de
 from moits.benchmarks import benchmark
 from moits.de import single_objective
 from moits.problems import Evaluation, Problem, deb_key, evaluate, feasible_lattice
-from moits.tabu import (
-    DENSE_LIMIT,
-    CachedEvaluator,
-    stochastic_round,
-    tabu_move,
-    tabu_search,
-)
+from moits.tabu import CachedEvaluator, stochastic_round, tabu_move, tabu_search
 
 OBJ1 = single_objective(0, 1)
 
@@ -409,23 +403,17 @@ class TestMultiMoveKernel:
 
 
 class TestKeyStore:
-    @pytest.mark.parametrize("widths, dense", [
-        ((254, 256), True),  # 255 * 257 = DENSE_LIMIT - 1 points
-        ((255, 255), False),  # 256 * 256 = DENSE_LIMIT points
-        ((20,) * 6, False),  # 21^6 = 8.6e7 points, the shape of the wide workload
+    @pytest.mark.parametrize("widths", [
+        pytest.param((254, 256), id="65535-points"),
+        pytest.param((255, 255), id="65536-points"),
+        pytest.param((20,) * 6, id="wide-shape"),  # 21^6 = 8.6e7 points
     ])
-    def test_dense_lists_only_under_the_bound(self, widths, dense):
+    def test_keys_held_for_exactly_the_evaluated_points(self, widths):
         problem = box_problem([0] * len(widths), list(widths), [3] * len(widths), 10**6)
         evaluator = CachedEvaluator(problem, OBJ1)
-        size = problem.lattice_size()
-        assert (size < DENSE_LIMIT) == dense
-        if dense:
-            assert evaluator._keys == [None] * size
-        else:
-            assert not isinstance(evaluator._keys, list) and len(evaluator._keys) == 0
+        assert len(evaluator._keys) == 0
         start = tuple(w // 2 for w in widths)
         best = tabu_search(start, 300, evaluator, np.random.default_rng(0).random)
         assert evaluator.key(best) <= evaluator.key(evaluator.index(start))
-        if not dense:
-            # the sparse store holds exactly the points the walk evaluated
-            assert set(evaluator._keys) == set(evaluator.evals)
+        assert set(evaluator._keys) == set(evaluator.evals)
+        assert None not in evaluator._keys.values()
