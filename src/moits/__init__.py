@@ -2,7 +2,7 @@
 evolution, tabu search and fuzzy max-min compromise programming."""
 
 from .benchmarks import BenchmarkSpec, benchmark
-from .de import DEConfig, Individual, ScalarObjective, single_objective
+from .de import DEConfig, Individual, single_objective
 from .harness import (
     ExperimentReport,
     VerificationReport,
@@ -30,7 +30,6 @@ __all__ = [
     "benchmark",
     "DEConfig",
     "Individual",
-    "ScalarObjective",
     "single_objective",
     "ExperimentReport",
     "VerificationReport",

@@ -15,14 +15,13 @@ replacements made during the generation do not move them. Each generation
 builds one (fitness, violation) array, and the global and ring elections
 both index it. Each slot keeps its ``deb_key``, so a trial computes one key.
 
-Inside :func:`run` the population is a list of Python float lists, and the
-primitives take and return float lists: for the handful of variables of a
-member, numpy's per-call overhead costs more than the arithmetic. Each
-formula keeps numpy's operation order, and :func:`clamp` resolves ties as
-``np.clip`` does, so the floats are the ones numpy computed;
-:func:`mutate_degl` builds ``r * global + (1 - r) * local`` in one pass over
-the coordinates. ``Individual.x`` is an ndarray at the boundary of
-:func:`run`; the TOPSIS elections run in numpy.
+A member's coordinates ``Individual.x`` are a tuple of Python floats, and
+the primitives take float sequences and return new float lists: for the
+handful of variables of a member, numpy's per-call overhead costs more than
+the arithmetic. Each formula keeps numpy's operation order, and
+:func:`clamp` resolves ties as ``np.clip`` does, so the floats are the ones
+numpy computed; :func:`mutate_degl` builds ``r * global + (1 - r) * local``
+in one pass over the coordinates. The TOPSIS elections run in numpy.
 
 Random draws: :func:`init_population`, :func:`run` and the primitives take a
 ``draw`` callable returning one uniform in [0, 1); ``rng.random`` gives one
@@ -32,9 +31,9 @@ its ``draw`` to every stage: uniforms come in blocks of ``BLOCK`` from one
 just after the last uniform used, so results and the generator's final state
 are those of one scalar ``rng.random()`` per draw.
 
-The engine optimizes one scalarized fitness at a time; a
-:class:`ScalarObjective` maps a cached evaluation to that scalar, which lets
-the same engine serve every stage of the compromise pipeline.
+A fitness is any function of an evaluation's minimization-sense objective
+vector to the scalar the engine minimizes, so one engine serves every stage
+of the compromise pipeline.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +53,6 @@ from .topsis import cost_closeness
 __all__ = [
     "DEConfig",
     "Individual",
-    "ScalarObjective",
     "single_objective",
     "init_population",
     "mutate_rand1",
@@ -108,31 +106,18 @@ class DEConfig:
 
 @dataclass(frozen=True)
 class Individual:
-    x: np.ndarray
+    x: tuple[float, ...]
     eval: Evaluation
 
 
-@dataclass(frozen=True)
-class ScalarObjective:
-    """Maps an evaluation's minimization-sense objective vector to the scalar
-    fitness the engine minimizes. The violation channel always comes from the
-    evaluation itself."""
-
-    label: str
-    fn: Callable[[tuple[float, ...]], float]
-
-    def fitness(self, evaluation: Evaluation) -> float:
-        return self.fn(evaluation.objectives_min)
-
-
-def single_objective(index: int, n_objectives: int, negate: bool = False) -> ScalarObjective:
+def single_objective(index: int, n_objectives: int, negate: bool = False):
     """Fitness = one objective component; ``negate`` turns a minimization of
     that component into a maximization."""
     if not 0 <= index < n_objectives:
         raise IndexError(f"objective index {index} out of range for {n_objectives} objectives")
     if negate:
-        return ScalarObjective(f"max_f{index}", lambda f: -f[index])
-    return ScalarObjective(f"min_f{index}", lambda f: f[index])
+        return lambda f: -f[index]
+    return lambda f: f[index]
 
 
 def init_population(problem: Problem, config: DEConfig, draw):
@@ -141,7 +126,7 @@ def init_population(problem: Problem, config: DEConfig, draw):
     box = [(float(lo), float(up) - float(lo))
            for lo, up in zip(problem.lower_bounds, problem.upper_bounds)]
     xs = [[lo + draw() * width for lo, width in box] for _ in range(config.population_size)]
-    return [Individual(np.array(x), evaluate(problem, x)) for x in xs]
+    return [Individual(tuple(x), evaluate(problem, x)) for x in xs]
 
 
 def _draw_distinct(draw, pool: Sequence[int], exclude, count: int):
@@ -247,14 +232,14 @@ def _elect(pairs: np.ndarray, idx: np.ndarray):
     return idx[best] if idx.ndim == 1 else idx[np.arange(len(idx)), best]
 
 
-def choose_best(pop, indices, objective: ScalarObjective) -> int:
+def choose_best(pop, indices, objective) -> int:
     """TOPSIS over the (fitness, violation) pairs of the given members, both
     criteria cost with uniform weights; returns the population index with the
     greatest closeness coefficient."""
     idx = np.fromiter(indices, dtype=np.intp)
     if not len(idx):
         raise ValueError("cannot choose the best of an empty index set")
-    fit = [objective.fitness(ind.eval) for ind in pop]
+    fit = [objective(ind.eval.objectives_min) for ind in pop]
     vio = [ind.eval.violation for ind in pop]
     return int(_elect(np.array((fit, vio)).T, idx))
 
@@ -267,9 +252,9 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
     """
     pop = list(initial) if initial is not None else init_population(problem, config, draw)
     np_size = len(pop)
-    xs = [ind.x.tolist() for ind in pop]
+    xs = [ind.x for ind in pop]
     evals = [ind.eval for ind in pop]
-    fit = [objective.fitness(ev) for ev in evals]
+    fit = [objective(ev.objectives_min) for ev in evals]
     vio = [ev.violation for ev in evals]
     keys = [deb_key(f, v) for f, v in zip(fit, vio)]
     lo = [float(v) for v in problem.lower_bounds]
@@ -300,9 +285,9 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
                 )
             trial = clamp(crossover(xs[i], donor, Cr, draw), lo, up)
             ev = evaluate(problem, trial)
-            f_trial = objective.fitness(ev)
+            f_trial = objective(ev.objectives_min)
             key = deb_key(f_trial, ev.violation)
             if key < keys[i]:
                 xs[i], evals[i], fit[i], vio[i] = trial, ev, f_trial, ev.violation
                 keys[i] = key
-    return [Individual(np.array(x), ev) for x, ev in zip(xs, evals)]
+    return [Individual(tuple(x), ev) for x, ev in zip(xs, evals)]

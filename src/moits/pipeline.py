@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import de, tabu
 from .problems import VIOLATION, Evaluation, Problem, deb_key, feasible_lattice, pareto_filter
 
@@ -200,21 +198,13 @@ def d_nis(values, anchors: CompromiseAnchors) -> float:
     return _distance(values, anchors.f_minus, anchors)
 
 
-def d_pis_objective(anchors) -> de.ScalarObjective:
-    return de.ScalarObjective("min_d_pis", lambda f: d_pis(f, anchors))
-
-
-def d_nis_max_objective(anchors) -> de.ScalarObjective:
-    return de.ScalarObjective("max_d_nis", lambda f: -d_nis(f, anchors))
-
-
 def stage2_anchors(problem_k, frame: CompromiseAnchors, config: HybridConfig, draw):
     """Locate the distance extremes: the point closest to the ideal, the point
     farthest from the anti-ideal, and each distance evaluated at the other's
     solution."""
     cfg = _stage_de_config(config)
-    best_p = _run_best(problem_k, cfg, d_pis_objective(frame), draw)
-    best_n = _run_best(problem_k, cfg, d_nis_max_objective(frame), draw)
+    best_p = _run_best(problem_k, cfg, lambda f: d_pis(f, frame), draw)
+    best_n = _run_best(problem_k, cfg, lambda f: -d_nis(f, frame), draw)
     fp = best_p.eval.objectives_min
     fn = best_n.eval.objectives_min
     return replace(
@@ -223,8 +213,8 @@ def stage2_anchors(problem_k, frame: CompromiseAnchors, config: HybridConfig, dr
         d_nis_star=d_nis(fn, frame),
         d_pis_prime=d_pis(fn, frame),
         d_nis_prime=d_nis(fp, frame),
-        x_p=tuple(float(v) for v in best_p.x),
-        x_n=tuple(float(v) for v in best_n.x),
+        x_p=best_p.x,
+        x_n=best_n.x,
     )
 
 
@@ -259,9 +249,9 @@ def maxmin_satisfaction(values, anchors: CompromiseAnchors) -> float:
     return min(mu1(values, anchors), mu2(values, anchors))
 
 
-def maxmin_objective(anchors) -> de.ScalarObjective:
+def maxmin_objective(anchors):
     """Scalar fitness for stage 3 (minimized): the negated satisfaction level."""
-    return de.ScalarObjective("maxmin_alpha", lambda f: -maxmin_satisfaction(f, anchors))
+    return lambda f: -maxmin_satisfaction(f, anchors)
 
 
 @dataclass(frozen=True)
@@ -332,8 +322,9 @@ def stage3_alternate(
         for i, member in enumerate(pop):
             rounded = tabu.stochastic_round(member.x, draw)
             j = tabu.tabu_search(rounded, config.ts_iterations, evaluator, draw)
-            if evaluator.key(j) < deb_key(objective.fitness(member.eval), member.eval.violation):
-                pop[i] = de.Individual(np.asarray(evaluator.point(j), dtype=float),
+            if evaluator.key(j) < deb_key(objective(member.eval.objectives_min),
+                                          member.eval.violation):
+                pop[i] = de.Individual(tuple(map(float, evaluator.point(j))),
                                        evaluator.evaluation(j))
             if len(evaluator.evals) == lattice_size:
                 break

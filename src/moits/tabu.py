@@ -105,7 +105,7 @@ class CachedEvaluator:
         k = self._keys[i]
         if k is None:
             ev = self.evaluation(i)
-            k = self._keys[i] = deb_key(self.objective.fitness(ev), ev.violation)
+            k = self._keys[i] = deb_key(self.objective(ev.objectives_min), ev.violation)
         return k
 
 

@@ -193,7 +193,7 @@ class TestCriterion3DE:
                 for _ in range(100):
                     pop = run(problem, cfg, objective, draw, initial=pop)
                     best = pop[choose_best(pop, range(len(pop)), objective)]
-                    key = deb_key(objective.fitness(best.eval), best.eval.violation)
+                    key = deb_key(objective(best.eval.objectives_min), best.eval.violation)
                     assert last is None or key <= last, (name, j)
                     last = key
 

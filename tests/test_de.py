@@ -37,7 +37,7 @@ def box_problem(lower, upper):
 
 def make_pop(xs, problem=None):
     problem = problem or box_problem((-100,) * len(xs[0]), (100,) * len(xs[0]))
-    return [Individual(np.array(x, dtype=float), evaluate(problem, x)) for x in xs]
+    return [Individual(tuple(map(float, x)), evaluate(problem, x)) for x in xs]
 
 
 OBJ1 = single_objective(0, 1)
@@ -45,7 +45,7 @@ OBJ1 = single_objective(0, 1)
 
 def rows(pop):
     """The population's points as the float lists the primitives take."""
-    return [ind.x.tolist() for ind in pop]
+    return [list(ind.x) for ind in pop]
 
 
 def ring(pop, i, k, objective=OBJ1):
@@ -95,13 +95,13 @@ class TestInit:
         draw = np.random.default_rng(0).random
         pop = init_population(problem, DEConfig(population_size=5), draw)
         for ind in pop:
-            assert ind.x.tolist() == [3.0, 3.0]
+            assert list(ind.x) == [3.0, 3.0]
 
     def test_formula_with_constant_draws(self):
         problem = box_problem((0, 0), (1, 1))
         pop = init_population(problem, DEConfig(population_size=4, neighborhood_k=1), lambda: 0.5)
         for ind in pop:
-            assert ind.x.tolist() == [0.5, 0.5]
+            assert list(ind.x) == [0.5, 0.5]
 
     def test_all_individuals_inside_p1_box(self):
         problem = benchmark("p1").problem
@@ -214,13 +214,13 @@ class TestClamp:
 
 
 def individual(fitness, violation=0.0):
-    return Individual(np.zeros(1), Evaluation((float(fitness),), violation))
+    return Individual((0.0,), Evaluation((float(fitness),), violation))
 
 
 def replaces(target, trial, objective=OBJ1):
     """The survivor rule of ``run``: the trial replaces the target iff its
     ``deb_key`` is strictly smaller."""
-    key = lambda ind: deb_key(objective.fitness(ind.eval), ind.eval.violation)
+    key = lambda ind: deb_key(objective(ind.eval.objectives_min), ind.eval.violation)
     return key(trial) < key(target)
 
 
@@ -236,6 +236,21 @@ class TestSelect:
 
     def test_better_fitness_wins_among_feasible(self):
         assert replaces(individual(5), individual(1))
+
+
+class TestSingleObjective:
+    @pytest.mark.parametrize("index", [-1, 3])
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_index_out_of_range(self, index, negate):
+        with pytest.raises(IndexError):
+            single_objective(index, 3, negate=negate)
+
+    def test_reads_one_column(self):
+        assert [single_objective(j, 3)((1.5, -2.0, 4.0)) for j in range(3)] == [1.5, -2.0, 4.0]
+
+    def test_negate_returns_the_negated_column(self):
+        f = (1.5, -2.0, 4.0)
+        assert [single_objective(j, 3, negate=True)(f) for j in range(3)] == [-1.5, 2.0, -4.0]
 
 
 class TestChooseBest:
@@ -289,7 +304,7 @@ class TestRun:
         cfg = DEConfig(population_size=6, max_iterations=5, neighborhood_k=1)
         pop = run(problem, cfg, OBJ1, np.random.default_rng(0).random)
         for ind in pop:
-            assert ind.x.tolist() == [2.0, 2.0]
+            assert list(ind.x) == [2.0, 2.0]
 
     def test_rand1_never_consults_best_index(self, monkeypatch):
         problem = benchmark("p1").problem
@@ -332,7 +347,7 @@ class TestRun:
         for _ in range(100):
             pop = run(problem, cfg, obj, draw, initial=pop)
             best = choose_best(pop, range(len(pop)), obj)
-            key = deb_key(obj.fitness(pop[best].eval), pop[best].eval.violation)
+            key = deb_key(obj(pop[best].eval.objectives_min), pop[best].eval.violation)
             assert last is None or key <= last
             last = key
 
@@ -351,7 +366,7 @@ class TestRun:
             pop = run(problem, DEConfig(variant="degl"), obj, np.random.default_rng(seed).random)
             best = pop[choose_best(pop, range(len(pop)), obj)]
             assert best.eval.violation == 0.0
-            if np.linalg.norm(best.x - target) <= 1e-3:
+            if np.linalg.norm(np.asarray(best.x) - target) <= 1e-3:
                 hits += 1
         assert hits >= 18
 
@@ -368,7 +383,8 @@ class TestRun:
 
 
 # The parent numpy engine, kept as the reference of TestKernelMatchesReference:
-# numpy arrays per member and one rng call per draw.
+# numpy arrays per member (each read with np.asarray from its float tuple) and
+# one rng call per draw.
 def _reference_draw_distinct(rng, pool, exclude, count):
     taken = set(exclude)
     out = []
@@ -383,20 +399,23 @@ def _reference_draw_distinct(rng, pool, exclude, count):
 
 def _reference_mutate_rand1(pop, i, F, rng):
     r1, r2, r3 = _reference_draw_distinct(rng, range(len(pop)), (i,), 3)
-    return pop[r1].x + F * (pop[r2].x - pop[r3].x)
+    a, b, c = (np.asarray(pop[r].x) for r in (r1, r2, r3))
+    return a + F * (b - c)
 
 
 def _reference_mutate_best(pop, i, F, gbest_index, rng):
     r1, r2 = _reference_draw_distinct(rng, range(len(pop)), (i,), 2)
-    return pop[r1].x + F * (pop[r2].x - pop[gbest_index].x)
+    a, b, best = (np.asarray(pop[r].x) for r in (r1, r2, gbest_index))
+    return a + F * (b - best)
 
 
 def _reference_local_global_donors(pop, i, alpha, beta, neigh, local_best, gbest_index, rng):
+    x = lambda j: np.asarray(pop[j].x)
     p, q = _reference_draw_distinct(rng, neigh, (i,), 2)
-    xi = pop[i].x
-    local = xi + alpha * (pop[local_best].x - xi) + beta * (pop[p].x - pop[q].x)
+    xi = x(i)
+    local = xi + alpha * (x(local_best) - xi) + beta * (x(p) - x(q))
     p2, q2 = _reference_draw_distinct(rng, range(len(pop)), (i,), 2)
-    glob = xi + alpha * (pop[gbest_index].x - xi) + beta * (pop[p2].x - pop[q2].x)
+    glob = xi + alpha * (x(gbest_index) - xi) + beta * (x(p2) - x(q2))
     return local, glob
 
 
@@ -430,7 +449,7 @@ def _reference_init_population(problem, config, rng):
     lo = np.asarray(problem.lower_bounds, dtype=float)
     up = np.asarray(problem.upper_bounds, dtype=float)
     xs = lo + rng.random((config.population_size, problem.dimension)) * (up - lo)
-    return [Individual(x, evaluate(problem, x.tolist())) for x in xs]
+    return [Individual(tuple(x.tolist()), evaluate(problem, x.tolist())) for x in xs]
 
 
 def _reference_run(problem, config, objective, rng, initial=None):
@@ -438,7 +457,7 @@ def _reference_run(problem, config, objective, rng, initial=None):
         initial = _reference_init_population(problem, config, rng)
     pop = list(initial)
     np_size = len(pop)
-    fit = np.array([objective.fitness(ind.eval) for ind in pop])
+    fit = np.array([objective(ind.eval.objectives_min) for ind in pop])
     vio = np.array([ind.eval.violation for ind in pop])
     lo = np.asarray(problem.lower_bounds, dtype=float)
     up = np.asarray(problem.upper_bounds, dtype=float)
@@ -464,11 +483,12 @@ def _reference_run(problem, config, objective, rng, initial=None):
                     pop, i, config.alpha, config.beta, r,
                     neigh_rows[i], local_bests[i], gbest, rng,
                 )
-            trial = _reference_clamp(_reference_crossover(pop[i].x, donor, Cr, rng), lo, up)
+            target = np.asarray(pop[i].x)
+            trial = _reference_clamp(_reference_crossover(target, donor, Cr, rng), lo, up)
             ev = evaluate(problem, trial.tolist())
-            f_trial = objective.fitness(ev)
+            f_trial = objective(ev.objectives_min)
             if deb_key(f_trial, ev.violation) < deb_key(fit[i], vio[i]):
-                pop[i] = Individual(trial, ev)
+                pop[i] = Individual(tuple(trial.tolist()), ev)
                 fit[i] = f_trial
                 vio[i] = ev.violation
     return pop
@@ -544,7 +564,9 @@ class TestKernelMatchesReference:
         expected = _reference_run(
             reference.problem, config, objective, reference_rng, initial=reference_start
         )
-        assert [ind.x.tobytes() for ind in pop] == [ind.x.tobytes() for ind in expected]
+        assert [np.array(ind.x).tobytes() for ind in pop] == [
+            np.array(ind.x).tobytes() for ind in expected
+        ]
         assert [ind.eval for ind in pop] == [ind.eval for ind in expected]
         assert kernel.log == reference.log
         assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
@@ -562,7 +584,9 @@ class TestKernelMatchesReference:
         finally:
             settle()
         expected = _reference_run(problem, config, objective, reference_rng)
-        assert [ind.x.tobytes() for ind in pop] == [ind.x.tobytes() for ind in expected]
+        assert [np.array(ind.x).tobytes() for ind in pop] == [
+            np.array(ind.x).tobytes() for ind in expected
+        ]
         assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
 
 

@@ -201,8 +201,7 @@ class TestMemberships:
 
     def test_maxmin_objective_negates(self):
         obj = maxmin_objective(self.ANCHORS)
-        ev = Evaluation((0.5,), 0.0)
-        assert obj.fitness(ev) == -maxmin_satisfaction((0.5,), self.ANCHORS)
+        assert obj((0.5,)) == -maxmin_satisfaction((0.5,), self.ANCHORS)
 
 
 class TestOracleAnchors:
@@ -259,15 +258,33 @@ def _first_two_over_150(x):
     return float(x[0] + x[1] - 150)
 
 
+# a box of 10**6 points that the stage-3 walks cannot exhaust
+WIDE_BOX = Problem(
+    dimension=3,
+    objectives=((_squared_distance_to_middle, "min"), (_first, "min")),
+    constraints=(_first_two_over_150,),
+    lower_bounds=(0, 0, 0),
+    upper_bounds=(99, 99, 99),
+    name="wide-box",
+)
+
+
 @pytest.fixture
 def de_runs(monkeypatch):
-    """Record the objective label of every evolution run."""
+    """Record every evolution run: a stage-3 run, recognized by its
+    ``initial=`` population, as ``"stage3"``; any other run as its fitness on
+    the probe vector ``(1.0, 2.0, ...)``, so that a stage-1 run reads
+    ``j + 1`` when it minimizes column ``j`` and ``-(j + 1)`` when it
+    maximizes it."""
     calls = []
     real = de.run
 
-    def spy(*args, **kwargs):
-        calls.append(args[2].label)
-        return real(*args, **kwargs)
+    def spy(problem, config, objective, draw, **kwargs):
+        if "initial" in kwargs:
+            calls.append("stage3")
+        else:
+            calls.append(objective(tuple(float(j + 1) for j in range(problem.n_objectives))))
+        return real(problem, config, objective, draw, **kwargs)
 
     monkeypatch.setattr(de, "run", spy)
     return calls
@@ -301,7 +318,7 @@ class TestStage1Violation:
             augment_with_violation(problem), STAGE1, np.random.default_rng(0).random
         )
         d = problem.n_objectives
-        assert de_runs == [f"{sense}_f{j}" for j in range(d) for sense in ("min", "max")]
+        assert de_runs == [sign * (j + 1) for j in range(d) for sign in (1, -1)]
         assert (f_star[-1], f_minus[-1]) == (0.0, 0.0)
         assert math.copysign(1.0, f_star[-1]) == math.copysign(1.0, f_minus[-1]) == 1.0
 
@@ -317,7 +334,7 @@ class TestStage1Violation:
         f_star, f_minus = stage1_anchors(
             augment_with_violation(problem), STAGE1, np.random.default_rng(0).random
         )
-        assert de_runs == ["min_f0", "max_f0", "min_f1", "max_f1"]
+        assert de_runs == [1, -1, 2, -2]
         assert f_star[-1] > 0.0
 
     @pytest.mark.parametrize("name, variant", sorted(STAGE1_PINS))
@@ -448,24 +465,62 @@ class TestStage3Stop:
         problem = benchmark("p1").problem
         archive = solve(problem, config, np.random.default_rng(0))
         assert 0 < len(tabu_searches) < config.alternations * config.de.population_size
-        assert de_runs.count("maxmin_alpha") < config.alternations
+        assert de_runs.count("stage3") < config.alternations
         assert archive.solutions() == [key for key, _ in brute_force_pareto(problem)]
 
     def test_box_the_walks_cannot_exhaust_runs_every_search(self, tabu_searches, de_runs):
-        problem = Problem(
-            dimension=3,
-            objectives=((_squared_distance_to_middle, "min"), (_first, "min")),
-            constraints=(_first_two_over_150,),
-            lower_bounds=(0, 0, 0),
-            upper_bounds=(99, 99, 99),
-            name="wide-box",
-        )
         config = HybridConfig(
             de=DEConfig(population_size=10, max_iterations=10),
             ts_iterations=50,
             alternations=2,
         )
-        archive = solve(problem, config, np.random.default_rng(0))
+        archive = solve(WIDE_BOX, config, np.random.default_rng(0))
         assert tabu_searches == [50] * (config.alternations * config.de.population_size)
-        assert de_runs.count("maxmin_alpha") == config.alternations
+        assert de_runs.count("stage3") == config.alternations
         assert len(archive) > 0
+
+
+def assert_float_coordinates(pop):
+    for ind in pop:
+        assert type(ind.x) is tuple and all(type(v) is float for v in ind.x), ind.x
+
+
+class TestCoordinatesAreFloats:
+    """A member's coordinates come back as a tuple of Python floats."""
+
+    def test_init_population(self):
+        problem = benchmark("p1").problem
+        assert_float_coordinates(
+            de.init_population(problem, DEConfig(), np.random.default_rng(0).random)
+        )
+
+    @pytest.mark.parametrize("variant", de.VARIANTS)
+    def test_run(self, variant):
+        config = DEConfig(variant=variant, population_size=8, max_iterations=5)
+        objective = de.single_objective(0, 3)
+        pop = de.run(benchmark("p1").problem, config, objective, np.random.default_rng(0).random)
+        assert_float_coordinates(pop)
+
+    def test_stage3_replacement(self, monkeypatch):
+        # a member the next run starts from that is not the one the previous
+        # run returned is a tabu write-back
+        runs = []
+        real = de.run
+
+        def spy(problem, config, objective, draw, **kwargs):
+            pop = real(problem, config, objective, draw, **kwargs)
+            if "initial" in kwargs:  # a stage-3 run
+                runs.append((kwargs["initial"], list(pop)))
+            return pop
+
+        monkeypatch.setattr(de, "run", spy)
+        # one generation leaves members the longer tabu walks improve on
+        config = HybridConfig(
+            de=DEConfig(population_size=10, max_iterations=1), ts_iterations=200, alternations=2
+        )
+        solve(WIDE_BOX, config, np.random.default_rng(0))
+        (_, returned), (written_back, _) = runs
+        replaced = [new for old, new in zip(returned, written_back) if new is not old]
+        assert replaced
+        assert_float_coordinates(replaced)
+        assert all(v.is_integer() for ind in replaced for v in ind.x)

@@ -92,8 +92,8 @@ class TestRunProperties:
         assert len(pop) == len(start)
         for before, after in zip(start, pop):
             assert problem.in_bounds(after.x)
-            assert (deb_key(objective.fitness(after.eval), after.eval.violation)
-                    <= deb_key(objective.fitness(before.eval), before.eval.violation))
+            assert (deb_key(objective(after.eval.objectives_min), after.eval.violation)
+                    <= deb_key(objective(before.eval.objectives_min), before.eval.violation))
 
 
 class TestSolveProperties:

@@ -77,7 +77,7 @@ class TestCachedEvaluator:
         obj = single_objective(0, 3)
         ev = CachedEvaluator(problem, obj)
         e = evaluate(problem, (4, 4))
-        assert ev.key(ev.index((4, 4))) == deb_key(obj.fitness(e), e.violation)
+        assert ev.key(ev.index((4, 4))) == deb_key(obj(e.objectives_min), e.violation)
 
 
 def move(x, x_star, k, t, evaluator, rng):
@@ -216,7 +216,7 @@ class _ReferenceEvaluator:
         k = self._keys.get(x)
         if k is None:
             ev = self.evaluation(x)
-            k = deb_key(self.objective.fitness(ev), ev.violation)
+            k = deb_key(self.objective(ev.objectives_min), ev.violation)
             self._keys[x] = k
         return k
 

@@ -176,10 +176,10 @@ class TestProperties:
         for _ in range(50):
             violation = np.where(rng.random(10) < 0.5, 0.0, rng.random(10))
             pop = [
-                Individual(np.zeros(1), Evaluation((float(f),), float(v)))
+                Individual((0.0,), Evaluation((float(f),), float(v)))
                 for f, v in zip(rng.integers(-3, 4, 10), violation)
             ]
             rows = np.array([rng.permutation(10)[:5] for _ in range(10)])
-            pairs = np.array([(objective.fitness(ind.eval), ind.eval.violation) for ind in pop])
+            pairs = np.array([(objective(ind.eval.objectives_min), ind.eval.violation) for ind in pop])
             elected = de._elect(pairs, rows)
             assert elected.tolist() == [choose_best(pop, row, objective) for row in rows]
