@@ -7,7 +7,6 @@ from .harness import (
     ExperimentReport,
     VerificationReport,
     derive_seed,
-    emit,
     run_experiment,
     verify_known,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ExperimentReport",
     "VerificationReport",
     "derive_seed",
-    "emit",
     "run_experiment",
     "verify_known",
     "CompromiseAnchors",

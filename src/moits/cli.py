@@ -6,12 +6,16 @@ Subcommands:
   verify      cross-check published targets against the lattice oracle
   rank        standalone TOPSIS ranking of a CSV decision matrix
 
+Each subcommand writes one text to stdout or to --out: JSON, or CSV from
+`harness.csv_text`, which quotes cells holding commas such as `(7,6)`.
+
 Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -73,11 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_variant=True):
+    def add_common(p):
         p.add_argument("--problem", required=True, choices=BENCHMARK_NAMES)
-        if with_variant:
-            # None lets --config, then DEConfig's default, choose the variant
-            p.add_argument("--variant", default=None, choices=VARIANTS)
+        # None lets --config, then DEConfig's default, choose the variant
+        p.add_argument("--variant", default=None, choices=VARIANTS)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--config", default=None, help="JSON file overriding defaults")
         p.add_argument("--oracle-anchors", action="store_true")
@@ -140,13 +143,12 @@ def _cmd_solve(args) -> int:
         raw = [-v if sense == "max" else v for v, sense in zip(values, senses)]
         rows.append({"solution": list(solution), "objectives": raw})
     if args.format == "json":
-        _write(args.out, json.dumps({"problem": spec.problem.name, "solutions": rows}, indent=2) + "\n")
+        text = json.dumps({"problem": spec.problem.name, "solutions": rows}, indent=2) + "\n"
     else:
-        lines = ["solution,objectives"]
-        for row in rows:
-            sol = harness._format_solution(row["solution"])
-            lines.append(sol + "," + ";".join(repr(v) for v in row["objectives"]))
-        _write(args.out, "\n".join(lines) + "\n")
+        cells = [[harness.format_solution(row["solution"]), ";".join(map(repr, row["objectives"]))]
+                 for row in rows]
+        text = harness.csv_text(["solution", "objectives"], cells)
+    _write(args.out, text)
     return 0
 
 
@@ -156,36 +158,36 @@ def _cmd_experiment(args) -> int:
     report = harness.run_experiment(
         spec, config.de.variant, config, args.seed, workers=args.workers
     )
-    if args.out:
-        harness.emit(report, args.format, args.out)
+    if args.format == "json":
+        text = json.dumps(harness.report_to_dict(report), indent=2, sort_keys=True) + "\n"
     else:
-        harness.emit(report, args.format, sys.stdout)
+        text = harness.report_csv(report)
+    _write(args.out, text)
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = harness.verify_known(benchmark(args.problem))
     if args.format == "json":
-        _write(args.out, json.dumps(harness.verification_to_dict(report), indent=2) + "\n")
-        return 0
-    lines = ["solution,feasible,pareto,dominated_by"]
-    for check in report.checks:
-        dominators = ";".join(harness._format_solution(p) for p in check.dominated_by)
-        lines.append(
-            f"{harness._format_solution(check.solution)},{check.feasible},"
-            f"{check.pareto},{dominators}"
-        )
-    _write(args.out, "\n".join(lines) + "\n")
+        text = json.dumps(harness.verification_to_dict(report), indent=2) + "\n"
+    else:
+        cells = [[harness.format_solution(check.solution), check.feasible, check.pareto,
+                  ";".join(map(harness.format_solution, check.dominated_by))]
+                 for check in report.checks]
+        text = harness.csv_text(["solution", "feasible", "pareto", "dominated_by"], cells)
+    _write(args.out, text)
     return 0
 
 
 def _read_matrix(path):
-    import csv as _csv
-
     with open(path, encoding="utf-8") as fh:
-        rows = [row for row in _csv.reader(fh) if row]
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"matrix file {path!r} is empty")
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"row {number} of matrix file {path!r} has {len(row)} cells, "
+                             f"row 1 has {len(rows[0])}")
     header_senses = None
     try:
         float(rows[0][0])
@@ -216,11 +218,10 @@ def _cmd_rank(args) -> int:
     else:
         weights = np.full(ncols, 1.0 / ncols)
     ranking = topsis.rank(topsis.DecisionMatrix(entries, senses, weights))
-    lines = ["alternative,closeness,rank"]
     position = {alt: pos for pos, alt in enumerate(ranking.order)}
-    for i in range(entries.shape[0]):
-        lines.append(f"{i},{float(ranking.closeness[i])!r},{position[i]}")
-    _write(args.out, "\n".join(lines) + "\n")
+    cells = [[i, float(ranking.closeness[i]), position[i]] for i in range(entries.shape[0])]
+    text = harness.csv_text(["alternative", "closeness", "rank"], cells)
+    _write(args.out, text)
     return 0
 
 

@@ -1,17 +1,19 @@
 """Experiment harness: repeated seeded runs, success-rate aggregation, I/O.
 
 An experiment solves one benchmark R times with per-run seeds derived from a
-master seed, counts for every archived integer solution the number of runs
-that found it, and emits the aggregate as CSV (one row per solution) or as a
-lossless JSON report. A separate verifier cross-checks the published target
+master seed and counts for every archived integer solution the number of runs
+that found it. A separate verifier cross-checks the published target
 solutions against the exhaustive lattice oracle.
+
+Reports become plain dicts for JSON (`report_to_dict`, `verification_to_dict`)
+or CSV text. `csv_text` is the one CSV writer of the package; it quotes a cell
+holding a comma, such as the solution `(7,6)` of `format_solution`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import pickle
 import time
@@ -32,9 +34,12 @@ __all__ = [
     "derive_seed",
     "run_experiment",
     "verify_known",
-    "emit",
     "report_to_dict",
     "report_from_dict",
+    "verification_to_dict",
+    "format_solution",
+    "csv_text",
+    "report_csv",
 ]
 
 SCHEMA_VERSION = 1
@@ -161,7 +166,7 @@ def verify_known(spec: BenchmarkSpec) -> VerificationReport:
     return VerificationReport(spec.problem.name, len(front), tuple(checks))
 
 
-def _format_solution(solution) -> str:
+def format_solution(solution) -> str:
     return "(" + ",".join(str(int(v)) for v in solution) + ")"
 
 
@@ -208,41 +213,18 @@ def verification_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def emit(report: ExperimentReport, format: str, destination) -> None:
-    """Write a report as CSV (success-rate table layout) or lossless JSON.
-
-    ``destination`` is a path or a writable text stream. CSV rows are sorted
-    by descending count, then lexicographic solution.
-    """
-    if format not in ("csv", "json"):
-        raise ValueError(f"unknown format {format!r}")
-    if hasattr(destination, "write"):
-        _emit_stream(report, format, destination)
-        return
-    with open(destination, "w", encoding="utf-8", newline="") as stream:
-        _emit_stream(report, format, stream)
-
-
-def _emit_stream(report, format, stream):
-    if format == "json":
-        json.dump(report_to_dict(report), stream, indent=2, sort_keys=True)
-        stream.write("\n")
-        return
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["solution", "count", "rate_percent", "variant", "problem"])
-    for solution, count in report.counts:
-        writer.writerow(
-            [
-                _format_solution(solution),
-                count,
-                100.0 * count / report.runs,
-                report.variant,
-                report.problem,
-            ]
-        )
+def csv_text(header, rows) -> str:
+    """A header and its rows as CSV text, each line ending in a newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def report_csv(report: ExperimentReport) -> str:
-    buffer = io.StringIO()
-    _emit_stream(report, "csv", buffer)
-    return buffer.getvalue()
+    """The success-rate table, sorted by descending count, then solution."""
+    cells = [[format_solution(solution), count, 100.0 * count / report.runs,
+              report.variant, report.problem]
+             for solution, count in report.counts]
+    return csv_text(["solution", "count", "rate_percent", "variant", "problem"], cells)

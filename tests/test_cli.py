@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -155,9 +157,9 @@ class TestSolve:
              "--config", fast_config, "--out", str(out)]
         )
         assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "solution,objectives"
-        assert any(line.startswith("(9,5),") for line in lines[1:])
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0] == ["solution", "objectives"]
+        assert any(row[0] == "(9,5)" for row in rows[1:])
 
     def test_json_output_original_sense(self, fast_config, tmp_path):
         out = tmp_path / "solutions.json"
@@ -204,14 +206,39 @@ class TestExperiment:
         assert outs[0].startswith(b"solution,count,rate_percent,variant,problem\n")
 
 
+class TestCsvOutput:
+    @pytest.mark.parametrize("command", ["solve", "experiment", "verify", "rank"])
+    def test_rows_as_wide_as_the_header(self, command, fast_config, tmp_path):
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text("5,5\n1,1\n3,3\n")
+        argv = {
+            "solve": ["solve", "--problem", "p3", "--config", fast_config],
+            "experiment": ["experiment", "--problem", "p3", "--config", fast_config,
+                           "--workers", "1"],
+            "verify": ["verify", "--problem", "p2"],
+            "rank": ["rank", str(matrix)],
+        }[command]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        header, *rows = csv.reader(out.read_text().splitlines())
+        assert rows and all(len(row) == len(header) for row in rows)
+        if header[0] == "solution":
+            assert all(re.fullmatch(r"\(\d+,\d+\)", row[0]) for row in rows)
+
+    def test_unknown_format_exits_2(self):
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--problem", "p3", "--format", "xml"])
+        assert err.value.code == 2
+
+
 class TestVerify:
     def test_csv_flags_infeasible_target(self, tmp_path):
         out = tmp_path / "verify.csv"
         assert main(["verify", "--problem", "p3", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "solution,feasible,pareto,dominated_by"
-        assert "(5,7),False,False," in lines
-        assert "(9,5),True,True," in lines
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0] == ["solution", "feasible", "pareto", "dominated_by"]
+        assert ["(5,7)", "False", "False", ""] in rows
+        assert ["(9,5)", "True", "True", ""] in rows
 
     def test_json_dominators_named(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -283,6 +310,12 @@ class TestRank:
         assert main(["rank", matrix, *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite" in err
+
+    def test_ragged_matrix_exits_1(self, tmp_path, capsys):
+        matrix = self.write_matrix(tmp_path, "1,2\n3\n")
+        assert main(["rank", matrix]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 2" in err and "1 cells, row 1 has 2" in err
 
     def test_bad_weights_exit_1(self, tmp_path, capsys):
         matrix = self.write_matrix(tmp_path, "1,2\n3,4\n")
