@@ -10,8 +10,10 @@ neighborhoods of a generation in one batched election.
 
 :func:`run` is built from the public primitives: one ``mutate_*`` call,
 :func:`crossover` and :func:`clamp` per member and generation. The bests
-are elected once at the start of each generation and passed in, so
-replacements made during the generation do not move them. Each generation
+are elected at the start of a generation and passed in, so replacements made
+during the generation do not move them. They are re-elected only after a
+generation that replaced a member: otherwise the (fitness, violation) pairs
+are unchanged and the election would return the same indices. An election
 builds one (fitness, violation) array, and the global and ring elections
 both index it. Each slot keeps its ``deb_key``, so a trial computes one key.
 
@@ -264,15 +266,17 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
     if variant == "degl":
         neigh_lists = [_neighborhood(i, config.neighborhood_k, np_size) for i in range(np_size)]
         neigh_rows = np.array(neigh_lists)
+    stale = True  # no election yet, or a member replaced since the last one
     for iteration in range(1, config.max_iterations + 1):
         r = weight_r(iteration, config.max_iterations)
         # best indices are frozen at generation start (slot updates within
-        # the generation do not re-elect them)
-        if variant != "rand1":
+        # the generation do not re-elect them); unchanged pairs keep them
+        if stale and variant != "rand1":
             pairs = np.array((fit, vio)).T
             gbest = int(_elect(pairs, indices))
-        if variant == "degl":
-            local_bests = _elect(pairs, neigh_rows).tolist()
+            if variant == "degl":
+                local_bests = _elect(pairs, neigh_rows).tolist()
+            stale = False
         for i in range(np_size):
             if variant == "rand1":
                 donor = mutate_rand1(xs, i, F, draw)
@@ -290,4 +294,5 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
             if key < keys[i]:
                 xs[i], evals[i], fit[i], vio[i] = trial, ev, f_trial, ev.violation
                 keys[i] = key
+                stale = True
     return [Individual(tuple(x), ev) for x, ev in zip(xs, evals)]

@@ -105,10 +105,11 @@ class CompromiseAnchors:
 
 
 def augment_with_violation(problem: Problem) -> Problem:
-    """Append G(x) as an extra minimization objective (unconstrained problems
-    pass through unchanged). The constraint list is retained so feasibility
-    rules and stage-1 anchors stay restricted to the feasible region."""
-    if problem.n_constraints == 0:
+    """Append G(x) as an extra minimization objective (unconstrained and
+    already augmented problems pass through unchanged). The constraint list is
+    retained so feasibility rules and stage-1 anchors stay restricted to the
+    feasible region."""
+    if problem.n_constraints == 0 or any(fn is VIOLATION for fn, _ in problem.objectives):
         return problem
     return replace(
         problem,

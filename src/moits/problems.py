@@ -6,7 +6,15 @@ Evaluation converts every objective to minimization sense and aggregates
 constraint violation into a single scalar ``G(x) = max(0, g_1, ..., g_m)``,
 so that all downstream comparisons (dominance, Deb feasibility rules,
 TOPSIS criteria) work on one uniform representation. :func:`evaluate` is the
-one place G is computed; an objective slot holding :data:`VIOLATION` reads it.
+one place G is computed; an objective slot holding :data:`VIOLATION` reads it,
+and a problem has at most one such slot.
+
+A :class:`Problem` builds its evaluation plan once, when it is created (and
+again in every ``dataclasses.replace``): a ``(index, fn, negate)`` triple per
+real objective, the index of the :data:`VIOLATION` slot (-1 if none) and the
+enumerated constraints. :func:`evaluate` reads the plan instead of testing
+each slot and sense on every call. The plan is not a dataclass field, so
+equality, hashing and ``repr`` see only the fields.
 """
 
 from __future__ import annotations
@@ -70,6 +78,16 @@ class Problem:
                     raise ValueError(f"{side} bound {bound!r} of variable {j} is not an integer")
             if lo > up:
                 raise ValueError(f"lower bound {lo} exceeds upper bound {up}")
+        slots = [i for i, (fn, _) in enumerate(self.objectives) if fn is VIOLATION]
+        if len(slots) > 1:
+            raise ValueError(f"objectives {slots} all hold VIOLATION; at most one slot may")
+        plan = (
+            tuple((i, fn, sense == "max")
+                  for i, (fn, sense) in enumerate(self.objectives) if fn is not VIOLATION),
+            slots[0] if slots else -1,
+            tuple(enumerate(self.constraints)),
+        )
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def n_objectives(self) -> int:
@@ -111,18 +129,15 @@ def evaluate(problem: Problem, x) -> Evaluation:
         raise ValueError(
             f"point of length {len(x)} for problem of dimension {problem.dimension}"
         )
+    objectives, slot, constraints = problem._plan
     objs = []
-    slot = -1
-    for i, (fn, sense) in enumerate(problem.objectives):
-        if fn is VIOLATION:
-            slot = i
-            continue
+    for i, fn, negate in objectives:
         val = float(fn(x))
         if not math.isfinite(val):
             raise ValueError(f"objective {i} of {problem.name!r} is non-finite at {tuple(x)}")
-        objs.append(-val if sense == "max" else val)
+        objs.append(-val if negate else val)
     violation = 0.0
-    for j, g in enumerate(problem.constraints):
+    for j, g in constraints:
         gval = float(g(x))
         if not math.isfinite(gval):
             raise ValueError(f"constraint {j} of {problem.name!r} is non-finite at {tuple(x)}")

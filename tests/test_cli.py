@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moits
 from moits import pipeline, topsis
 from moits.cli import load_config, main
 from moits.pipeline import HybridConfig
@@ -247,6 +252,21 @@ class TestVerify:
         checks = {tuple(c["solution"]): c for c in data["checks"]}
         assert checks[(10, 1)]["pareto"] is False
         assert [8, 3] in checks[(10, 1)]["dominated_by"]
+
+
+class TestModuleEntryPoint:
+    def test_python_m_moits_runs_the_cli(self):
+        # the directory holding the package, as a source checkout's src/ is
+        paths = [str(Path(moits.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run(
+            [sys.executable, "-m", "moits", "verify", "--problem", "p1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        header, *rows = csv.reader(done.stdout.splitlines())
+        assert header == ["solution", "feasible", "pareto", "dominated_by"]
+        assert rows
 
 
 class TestRank:

@@ -382,6 +382,76 @@ class TestRun:
         assert best.eval.objectives_min[0] <= lattice_best
 
 
+# its optimum is the box corner, which clamping reaches exactly, so a run's
+# population stops improving
+CORNER = box_problem((1, 1), (6, 6))
+
+
+class TestElections:
+    """``run`` elects its bests at generation 1 and after every generation that
+    replaced a member; TestKernelMatchesReference, whose reference re-elects
+    every generation, shows the skipped elections change nothing."""
+
+    GENERATIONS = 60
+
+    def spy(self, monkeypatch, name, log, record):
+        original = getattr(de, name)
+
+        def spied(*args, **kwargs):
+            result = original(*args, **kwargs)
+            log.append(record(args, result))
+            return result
+
+        monkeypatch.setattr(de, name, spied)
+
+    @pytest.mark.parametrize("variant, per_generation", [("best", 1), ("degl", 2)])
+    def test_zero_width_box_elects_once(self, variant, per_generation, monkeypatch):
+        elections = []
+        self.spy(monkeypatch, "_elect", elections, lambda args, result: result)
+        cfg = DEConfig(variant=variant, population_size=6, max_iterations=5, neighborhood_k=1)
+        run(box_problem((2, 2), (2, 2)), cfg, OBJ1, np.random.default_rng(0).random)
+        assert len(elections) == per_generation
+
+    def elections(self, problem, variant, monkeypatch):
+        """The generation of each election of a run, and the generations
+        expected to elect: the first, and each after one that replaced a
+        member, found by replaying the selection on the logged trials."""
+        objective = single_objective(0, problem.n_objectives)
+        cfg = DEConfig(variant=variant, population_size=8, max_iterations=self.GENERATIONS)
+        draw = np.random.default_rng(4).random
+        start = init_population(problem, cfg, draw)
+        generation, elections, trials = [], [], []
+        self.spy(monkeypatch, "weight_r", generation, lambda args, result: args[0])
+        self.spy(monkeypatch, "_elect", elections, lambda args, result: generation[-1])
+        self.spy(monkeypatch, "evaluate", trials, lambda args, result: result)
+        run(problem, cfg, objective, draw, initial=start)
+        assert len(trials) == cfg.population_size * cfg.max_iterations
+        keys = [deb_key(objective(ind.eval.objectives_min), ind.eval.violation) for ind in start]
+        replaced = set()
+        for n, ev in enumerate(trials):
+            g, i = divmod(n, cfg.population_size)
+            key = deb_key(objective(ev.objectives_min), ev.violation)
+            if key < keys[i]:
+                keys[i] = key
+                replaced.add(g + 1)
+        expected = [1] + [g for g in range(2, cfg.max_iterations + 1) if g - 1 in replaced]
+        return elections, expected
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3", "corner"])
+    @pytest.mark.parametrize("variant, per_generation", [("best", 1), ("degl", 2)])
+    def test_elects_after_each_generation_that_replaced(
+        self, name, variant, per_generation, monkeypatch
+    ):
+        problem = CORNER if name == "corner" else benchmark(name).problem
+        elections, expected = self.elections(problem, variant, monkeypatch)
+        assert collections.Counter(elections) == {g: per_generation for g in expected}
+
+    @pytest.mark.parametrize("variant", ["best", "degl"])
+    def test_skips_generations_that_replaced_nobody(self, variant, monkeypatch):
+        _, expected = self.elections(CORNER, variant, monkeypatch)
+        assert 1 < len(expected) < self.GENERATIONS
+
+
 # The parent numpy engine, kept as the reference of TestKernelMatchesReference:
 # numpy arrays per member (each read with np.asarray from its float tuple) and
 # one rng call per draw.

@@ -100,7 +100,19 @@ class TestAugment:
         aug = augment_with_violation(benchmark("p1").problem)
         again = pickle.loads(pickle.dumps(aug))
         assert again.objectives[-1][0] is VIOLATION
-        assert evaluate(again, (7, 5)) == evaluate(aug, (7, 5))
+        assert again == aug and hash(again) == hash(aug)
+        for x in [(4, 4), (7, 5), (0, 0), (2.5, 3.25)]:
+            assert evaluate(again, x) == evaluate(aug, x)
+
+    def test_augmenting_twice_changes_nothing(self):
+        aug = augment_with_violation(benchmark("p1").problem)
+        assert augment_with_violation(aug) is aug
+        assert aug.n_objectives == len(evaluate(aug, (7, 5)).objectives_min) == 4
+
+    def test_second_violation_slot_rejected(self):
+        aug = augment_with_violation(benchmark("p1").problem)
+        with pytest.raises(ValueError, match="all hold VIOLATION"):
+            replace(aug, objectives=aug.objectives + ((VIOLATION, "min"),))
 
     def test_augmented_evaluation_stays_feasible_aware(self):
         aug = augment_with_violation(benchmark("p1").problem)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from moits.benchmarks import benchmark
 from moits.problems import (
+    VIOLATION,
     Evaluation,
     Problem,
     brute_force_pareto,
@@ -63,6 +65,40 @@ class TestEvaluate:
         problem = make_problem([(lambda x: x[0], "min")], [lambda x: math.inf])
         with pytest.raises(ValueError, match="constraint 0"):
             evaluate(problem, (1,))
+
+
+class TestPlan:
+    """``evaluate`` reads a plan each ``Problem`` builds once; ``replace``
+    builds a new one, and the plan stays out of equality and hashing."""
+
+    def test_replaced_constraints_are_evaluated(self):
+        problem = make_problem([(lambda x: x[0], "min")], [lambda x: x[0] - 5.0])
+        assert evaluate(problem, (7,)).violation == 2.0
+        relaxed = replace(problem, constraints=(lambda x: x[0] - 9.0, lambda x: -1.0))
+        assert evaluate(relaxed, (7,)).violation == 0.0
+        assert evaluate(relaxed, (10,)).violation == 1.0
+        assert evaluate(replace(problem, constraints=()), (7,)).violation == 0.0
+
+    def test_replaced_sense_sets_the_sign(self):
+        f = lambda x: x[0] + 1.0
+        problem = make_problem([(f, "min"), (VIOLATION, "min")], [lambda x: x[0] - 5.0])
+        assert evaluate(problem, (7,)).objectives_min == (8.0, 2.0)
+        flipped = replace(problem, objectives=((f, "max"), (VIOLATION, "min")))
+        assert evaluate(flipped, (7,)).objectives_min == (-8.0, 2.0)
+        moved = replace(problem, objectives=((VIOLATION, "min"), (f, "max")))
+        assert evaluate(moved, (7,)).objectives_min == (2.0, -8.0)
+
+    def test_equal_problems_compare_and_hash_equal(self):
+        objectives, constraints = ((abs, "min"), (VIOLATION, "min")), (abs,)
+        a = make_problem(objectives, constraints)
+        b = make_problem(objectives, constraints)
+        assert a == b and hash(a) == hash(b)
+        assert replace(a, name="other") != a
+        assert "_plan" not in repr(a)
+
+    def test_second_violation_slot_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("objectives [0, 2] all hold VIOLATION")):
+            make_problem([(VIOLATION, "min"), (abs, "min"), (VIOLATION, "min")], [abs])
 
 
 class TestDominates:
