@@ -6,7 +6,8 @@ Subcommands:
   verify      cross-check published targets against the lattice oracle
   rank        standalone TOPSIS ranking of a CSV decision matrix
 
-Each subcommand writes one text to stdout or to --out: JSON, or CSV from
+Each subcommand writes one text to stdout or to --out: JSON with sorted keys
+(for `experiment` and `verify`, the report dataclass's fields), or CSV from
 `harness.csv_text`, which quotes cells holding commas such as `(7,6)`.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error.
@@ -122,6 +123,15 @@ def _write(path, text):
             fh.write(text)
 
 
+def _emit(args, record, csv_text: str) -> None:
+    """Write ``record`` as JSON with sorted keys, or ``csv_text`` as it is, as
+    ``--format`` asks."""
+    if args.format == "json":
+        _write(args.out, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    else:
+        _write(args.out, csv_text)
+
+
 def _config_from_args(args) -> pipeline.HybridConfig:
     overrides = {
         "variant": getattr(args, "variant", None),
@@ -142,13 +152,10 @@ def _cmd_solve(args) -> int:
         values = archive.entries[solution].evaluation.objectives_min
         raw = [-v if sense == "max" else v for v, sense in zip(values, senses)]
         rows.append({"solution": list(solution), "objectives": raw})
-    if args.format == "json":
-        text = json.dumps({"problem": spec.problem.name, "solutions": rows}, indent=2) + "\n"
-    else:
-        cells = [[harness.format_solution(row["solution"]), ";".join(map(repr, row["objectives"]))]
-                 for row in rows]
-        text = harness.csv_text(["solution", "objectives"], cells)
-    _write(args.out, text)
+    cells = [[harness.format_solution(row["solution"]), ";".join(map(repr, row["objectives"]))]
+             for row in rows]
+    _emit(args, {"problem": spec.problem.name, "solutions": rows},
+          harness.csv_text(["solution", "objectives"], cells))
     return 0
 
 
@@ -158,24 +165,17 @@ def _cmd_experiment(args) -> int:
     report = harness.run_experiment(
         spec, config.de.variant, config, args.seed, workers=args.workers
     )
-    if args.format == "json":
-        text = json.dumps(harness.report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    else:
-        text = harness.report_csv(report)
-    _write(args.out, text)
+    _emit(args, dataclasses.asdict(report), harness.report_csv(report))
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = harness.verify_known(benchmark(args.problem))
-    if args.format == "json":
-        text = json.dumps(harness.verification_to_dict(report), indent=2) + "\n"
-    else:
-        cells = [[harness.format_solution(check.solution), check.feasible, check.pareto,
-                  ";".join(map(harness.format_solution, check.dominated_by))]
-                 for check in report.checks]
-        text = harness.csv_text(["solution", "feasible", "pareto", "dominated_by"], cells)
-    _write(args.out, text)
+    cells = [[harness.format_solution(check.solution), check.feasible, check.pareto,
+              ";".join(map(harness.format_solution, check.dominated_by))]
+             for check in report.checks]
+    _emit(args, dataclasses.asdict(report),
+          harness.csv_text(["solution", "feasible", "pareto", "dominated_by"], cells))
     return 0
 
 

@@ -5,9 +5,10 @@ master seed and counts for every archived integer solution the number of runs
 that found it. A separate verifier cross-checks the published target
 solutions against the exhaustive lattice oracle.
 
-Reports become plain dicts for JSON (`report_to_dict`, `verification_to_dict`)
-or CSV text. `csv_text` is the one CSV writer of the package; it quotes a cell
-holding a comma, such as the solution `(7,6)` of `format_solution`.
+A report's JSON is its dataclass's fields, by `dataclasses.asdict`, with
+sorted keys; it is output only, and nothing reads it back. `csv_text` is the
+one CSV writer of the package; it quotes a cell holding a comma, such as the
+solution `(7,6)` of `format_solution`.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ __all__ = [
     "derive_seed",
     "run_experiment",
     "verify_known",
-    "report_to_dict",
-    "report_from_dict",
-    "verification_to_dict",
     "format_solution",
     "csv_text",
     "report_csv",
@@ -140,6 +138,7 @@ class VerificationReport:
     problem: str
     pareto_size: int
     checks: tuple[SolutionCheck, ...]
+    schema_version: int = SCHEMA_VERSION
 
 
 def verify_known(spec: BenchmarkSpec) -> VerificationReport:
@@ -168,49 +167,6 @@ def verify_known(spec: BenchmarkSpec) -> VerificationReport:
 
 def format_solution(solution) -> str:
     return "(" + ",".join(str(int(v)) for v in solution) + ")"
-
-
-def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "problem": report.problem,
-        "variant": report.variant,
-        "runs": report.runs,
-        "counts": [[list(sol), count] for sol, count in report.counts],
-        "seeds": list(report.seeds),
-        "wall_clock": list(report.wall_clock),
-        "config": report.config,
-    }
-
-
-def report_from_dict(data: dict) -> ExperimentReport:
-    return ExperimentReport(
-        problem=data["problem"],
-        variant=data["variant"],
-        runs=data["runs"],
-        counts=tuple((tuple(sol), count) for sol, count in data["counts"]),
-        seeds=tuple(data["seeds"]),
-        wall_clock=tuple(data["wall_clock"]),
-        config=data["config"],
-        schema_version=data["schema_version"],
-    )
-
-
-def verification_to_dict(report: VerificationReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "problem": report.problem,
-        "pareto_size": report.pareto_size,
-        "checks": [
-            {
-                "solution": list(check.solution),
-                "feasible": check.feasible,
-                "pareto": check.pareto,
-                "dominated_by": [list(p) for p in check.dominated_by],
-            }
-            for check in report.checks
-        ],
-    }
 
 
 def csv_text(header, rows) -> str:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import moits
-from moits import pipeline, topsis
+from moits import harness, pipeline, topsis
 from moits.cli import load_config, main
 from moits.pipeline import HybridConfig
 
@@ -234,6 +234,23 @@ class TestCsvOutput:
         with pytest.raises(SystemExit) as err:
             main(["experiment", "--problem", "p3", "--format", "xml"])
         assert err.value.code == 2
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("command", ["solve", "experiment", "verify"])
+    def test_parses_and_reports_carry_their_schema(self, command, fast_config, tmp_path):
+        argv = {
+            "solve": ["solve", "--problem", "p3", "--config", fast_config],
+            "experiment": ["experiment", "--problem", "p3", "--config", fast_config,
+                           "--workers", "1"],
+            "verify": ["verify", "--problem", "p2"],
+        }[command]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["problem"] == argv[2]
+        if command != "solve":
+            assert data["schema_version"] == harness.SCHEMA_VERSION
 
 
 class TestVerify:

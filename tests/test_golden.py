@@ -1,4 +1,4 @@
-"""Golden pins: three seeded solves, byte for byte.
+"""Golden pins: five seeded solves, byte for byte.
 
 Each solve carries two pins. The first is a digest of the archive and of the
 anchors the solve used (f*, f-, the four distance anchors, x_p and x_n); the
@@ -8,6 +8,12 @@ generator's next draw after the solve, which also moves with the number of
 uniforms stage 3 consumes (DE draws, stochastic rounding, the tabu walk) even
 where its archive does not. A change that alters the results on purpose
 re-pins them and says why.
+
+On p1-p3 stage 3 evaluates the whole lattice, so their archives are the
+exact fronts whatever the walks do. Two light solves of `WIDE_BOX`, whose
+10**6 points the walks cannot exhaust, pin what stage 3 does: their digests
+and next draws move when the write-back, the aspiration criterion, the
+diversification kick, the unbiased rounding or the TOPSIS election breaks.
 """
 
 import hashlib
@@ -19,6 +25,7 @@ import pytest
 from moits.benchmarks import benchmark
 from moits.de import DEConfig
 from moits.pipeline import HybridConfig, solve
+from test_pipeline import WIDE_BOX
 
 PINS = {
     ("p1", "degl"): "c63064a65de111e367291c5fb685dd912e438c4075a42b41ecc02b2270ddc912",
@@ -37,13 +44,32 @@ ANCHOR_FIELDS = (
 )
 
 
+# seed 1 alone stays put when the write-back or the unbiased rounding breaks
+WIDE_PINS = {
+    1: ("639455b25b14f83af75daa77b8c39a7c97784bdff0a7856d618845f4cd950e21",
+        "0.8658593090945899"),
+    2: ("2e89fb9044296e0b2f14cca1ed16d7b62c09f3c0e5e8355c287a9601ba446952",
+        "0.12706992469667933"),
+}
+
+WIDE_CONFIG = HybridConfig(
+    de=DEConfig(variant="degl", population_size=8, max_iterations=1),
+    ts_iterations=200,
+    alternations=3,
+)
+
+
 def seeded_solve(name: str, variant: str) -> tuple[str, str]:
-    """The archive-and-anchors digest and the repr of the next draw."""
     config = HybridConfig(
         de=DEConfig(variant=variant, max_iterations=20), alternations=2, ts_iterations=1000
     )
-    rng = np.random.default_rng(1)
-    archive = solve(benchmark(name).problem, config, rng)
+    return pinned_solve(benchmark(name).problem, config, 1)
+
+
+def pinned_solve(problem, config, seed: int) -> tuple[str, str]:
+    """The archive-and-anchors digest and the repr of the next draw."""
+    rng = np.random.default_rng(seed)
+    archive = solve(problem, config, rng)
     rows = [[list(x), list(archive.entries[x].evaluation.objectives_min)]
             for x in archive.solutions()]
     anchors = [repr(getattr(archive.anchors, f)) for f in ANCHOR_FIELDS]
@@ -64,3 +90,8 @@ def test_seeded_solve_archive_is_pinned(solves, name, variant):
 @pytest.mark.parametrize("name, variant", sorted(NEXT_DRAWS))
 def test_seeded_solve_next_draw_is_pinned(solves, name, variant):
     assert solves[name, variant][1] == NEXT_DRAWS[name, variant]
+
+
+@pytest.mark.parametrize("seed", sorted(WIDE_PINS))
+def test_wide_box_solve_is_pinned(seed):
+    assert pinned_solve(WIDE_BOX, WIDE_CONFIG, seed) == WIDE_PINS[seed]
