@@ -95,7 +95,6 @@ class BenchmarkSpec:
     problem: Problem
     known_solutions: tuple[tuple[int, ...], ...]
     reported_solutions: tuple[tuple[int, ...], ...]
-    notes: str = ""
 
     def __post_init__(self):
         for sol in self.known_solutions + self.reported_solutions:
@@ -125,6 +124,8 @@ def benchmark(name: str) -> BenchmarkSpec:
             upper_bounds=(16, 16),
             name="p2",
         )
+        # (10,1) and (9,2) from the literature list are dominated by other
+        # lattice points
         known = (
             (1, 10), (2, 9), (3, 8), (4, 7), (5, 6),
             (6, 5), (7, 4), (8, 3), (9, 2), (10, 1),
@@ -133,13 +134,7 @@ def benchmark(name: str) -> BenchmarkSpec:
             (6, 5), (2, 9), (4, 7), (5, 6), (3, 8), (7, 4), (8, 3),
             (0, 11), (0, 14), (1, 10), (0, 15), (0, 12), (0, 16), (0, 13),
         )
-        return BenchmarkSpec(
-            problem,
-            known,
-            reported,
-            notes="(10,1) and (9,2) from the literature list are dominated "
-            "by other lattice points",
-        )
+        return BenchmarkSpec(problem, known, reported)
     if name == "p3":
         # no explicit box is published; [0,12]x[0,7] provably contains the
         # feasible region (5*x1 <= 57.5 and x2 <= 6.5)
@@ -151,11 +146,7 @@ def benchmark(name: str) -> BenchmarkSpec:
             upper_bounds=(12, 7),
             name="p3",
         )
+        # (5,7) appears in published results but violates x2 <= 6.5
         reported = ((9, 5), (10, 4), (11, 1), (7, 6), (5, 7))
-        return BenchmarkSpec(
-            problem,
-            ((9, 5),),
-            reported,
-            notes="(5,7) appears in published results but violates x2 <= 6.5",
-        )
+        return BenchmarkSpec(problem, ((9, 5),), reported)
     raise KeyError(f"unknown benchmark {name!r}; valid names: {', '.join(BENCHMARK_NAMES)}")

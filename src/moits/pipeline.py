@@ -3,12 +3,14 @@
 Stage 1 finds, per objective, its best (ideal) and worst (anti-ideal) values
 over the feasible region. Stage 2 turns these into two normalized distance
 functions, to the ideal and to the anti-ideal, and locates their extreme
-points. Stage 3 maximizes the minimum of two piecewise-linear membership
-functions of those distances (the fuzzy max-min compromise), alternating the
-evolution engine with tabu-search refinement of every population member and
-archiving each feasible integer point the walks evaluated. Stage 3 stops as
-soon as its walks have evaluated every lattice point of the box: the archive
-is then final, and further moves could only revisit known points.
+points. Stage 3 maximizes the minimum of two membership functions of those
+distances (the fuzzy max-min compromise). Both are one clipped linear ramp,
+falling with the distance to the ideal and rising with the distance to the
+anti-ideal. Stage 3 alternates the evolution engine with tabu-search
+refinement of every population member, archiving each feasible integer point
+the walks evaluated. Stage 3 stops as soon as its walks have evaluated every
+lattice point of the box: the archive is then final, and further moves could
+only revisit known points.
 
 Constraints enter the pipeline as an extra minimization objective, the
 maximum violation G(x): a ``VIOLATION`` slot that evaluation fills from the
@@ -83,25 +85,15 @@ class CompromiseAnchors:
     d_nis_prime: float = math.nan
     x_p: tuple[float, ...] = ()
     x_n: tuple[float, ...] = ()
-    _coefs: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        # coefficient (w_j / (f_j^- - f_j^*))^2 per retained objective
+        # coefficient (w_j / (f_j^- - f_j^*))^2 per retained objective; a
+        # cache, not a field, so it is neither compared, printed nor passed in
         coefs = []
         for w, j in zip(self.weights, self.active):
             span = self.f_minus[j] - self.f_star[j]
             coefs.append((j, (w / span) ** 2))
         object.__setattr__(self, "_coefs", tuple(coefs))
-
-    @property
-    def mu1_degenerate(self) -> bool:
-        span = self.d_pis_prime - self.d_pis_star
-        return not span > DEGENERACY_TOL
-
-    @property
-    def mu2_degenerate(self) -> bool:
-        span = self.d_nis_star - self.d_nis_prime
-        return not span > DEGENERACY_TOL
 
 
 def augment_with_violation(problem: Problem) -> Problem:
@@ -219,30 +211,31 @@ def stage2_anchors(problem_k, frame: CompromiseAnchors, config: HybridConfig, dr
     )
 
 
-def mu1(values, anchors: CompromiseAnchors) -> float:
-    """Satisfaction with the distance to the ideal: 1 at the minimal distance,
-    0 at the distance attained by the anti-ideal extreme, linear between.
-    Degenerate spans collapse to constant 1."""
-    if anchors.mu1_degenerate:
+def _membership(d: float, best: float, worst: float) -> float:
+    """The clipped linear ramp of both memberships: 1 at ``best`` and beyond
+    it, 0 at ``worst`` and beyond it, linear between. A span ``worst - best``
+    not above ``DEGENERACY_TOL`` collapses the ramp to constant 1."""
+    if not worst - best > DEGENERACY_TOL:
         return 1.0
-    d = d_pis(values, anchors)
-    if d < anchors.d_pis_star:
+    if d < best:
         return 1.0
-    if d > anchors.d_pis_prime:
+    if d > worst:
         return 0.0
-    return 1.0 - (d - anchors.d_pis_star) / (anchors.d_pis_prime - anchors.d_pis_star)
+    return 1.0 - (d - best) / (worst - best)
+
+
+def mu1(values, anchors: CompromiseAnchors) -> float:
+    """Satisfaction with the distance to the ideal (smaller is better): the
+    ramp from 1 at ``d_pis_star`` to 0 at ``d_pis_prime``."""
+    return _membership(d_pis(values, anchors), anchors.d_pis_star, anchors.d_pis_prime)
 
 
 def mu2(values, anchors: CompromiseAnchors) -> float:
-    """Satisfaction with the distance to the anti-ideal (larger is better)."""
-    if anchors.mu2_degenerate:
-        return 1.0
-    d = d_nis(values, anchors)
-    if d > anchors.d_nis_star:
-        return 1.0
-    if d < anchors.d_nis_prime:
-        return 0.0
-    return 1.0 - (anchors.d_nis_star - d) / (anchors.d_nis_star - anchors.d_nis_prime)
+    """Satisfaction with the distance to the anti-ideal (larger is better): the
+    same ramp on negated distances, from 1 at ``d_nis_star`` to 0 at
+    ``d_nis_prime``. Negation is exact, so ``(-d) - (-s)`` is ``s - d`` bit for
+    bit and every comparison flips cleanly."""
+    return _membership(-d_nis(values, anchors), -anchors.d_nis_star, -anchors.d_nis_prime)
 
 
 def maxmin_satisfaction(values, anchors: CompromiseAnchors) -> float:

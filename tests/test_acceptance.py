@@ -17,6 +17,7 @@ from moits.benchmarks import benchmark
 from moits.de import DEConfig, VARIANTS, choose_best, run, single_objective
 from moits.harness import report_csv, run_experiment, verify_known
 from moits.pipeline import (
+    DEGENERACY_TOL,
     HybridConfig,
     augment_with_violation,
     compute_anchors,
@@ -325,7 +326,8 @@ class TestCriterion3Hybrid:
         problem = benchmark("p1").problem
         config = HybridConfig(oracle_anchors=True)
         problem_k, anchors = compute_anchors(problem, config, np.random.default_rng(2).random)
-        assert not anchors.mu1_degenerate and not anchors.mu2_degenerate
+        assert anchors.d_pis_prime - anchors.d_pis_star > DEGENERACY_TOL
+        assert anchors.d_nis_star - anchors.d_nis_prime > DEGENERACY_TOL
         fp = evaluate(problem_k, anchors.x_p).objectives_min
         fn = evaluate(problem_k, anchors.x_n).objectives_min
         assert mu1(fp, anchors) == 1.0

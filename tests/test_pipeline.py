@@ -1,18 +1,21 @@
 import math
 import pickle
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from moits import de, tabu
 from moits.benchmarks import benchmark
 from moits.de import DEConfig
 from moits.pipeline import (
+    DEGENERACY_TOL,
     ArchiveEntry,
     CompromiseAnchors,
     HybridConfig,
     SolutionArchive,
+    _membership,
     augment_with_violation,
     build_anchor_frame,
     compute_anchors,
@@ -139,6 +142,15 @@ class TestAnchorFrame:
         frame = build_anchor_frame((3.0,), (3.0,))
         assert frame.active == () and frame.weights == ()
 
+    def test_fields_are_the_anchors(self):
+        frame = build_anchor_frame((0.0, 1.0), (2.0, 1.0))
+        assert "_coefs" not in {f.name for f in fields(frame)}
+        with pytest.raises(TypeError):
+            CompromiseAnchors(f_star=(0.0,), f_minus=(1.0,), active=(0,), weights=(1.0,),
+                              _coefs=())
+        # the distance coefficients are not a field, yet survive a pickle
+        assert d_pis((1.0, 5.0), pickle.loads(pickle.dumps(frame))) == 0.5
+
 
 class TestDistances:
     FRAME = build_anchor_frame((0.0, 0.0), (2.0, 4.0))
@@ -199,11 +211,14 @@ class TestMemberships:
     def test_mu2_midpoint(self):
         assert abs(mu2((0.4,), self.ANCHORS) - 0.5) < 1e-15  # d_nis = 0.6
 
+    def test_mu2_clamps(self):
+        assert mu2((0.05,), self.ANCHORS) == 1.0  # d_nis = 0.95 > 0.9
+        assert mu2((0.8,), self.ANCHORS) == 0.0  # d_nis = 0.2 < 0.3
+
     def test_degenerate_spans_give_one(self):
         flat = membership_anchors(
             d_pis_prime=0.2, d_nis_prime=0.9
         )
-        assert flat.mu1_degenerate and flat.mu2_degenerate
         assert mu1((0.5,), flat) == 1.0 and mu2((0.5,), flat) == 1.0
 
     def test_maxmin_is_min_of_memberships(self):
@@ -214,6 +229,83 @@ class TestMemberships:
     def test_maxmin_objective_negates(self):
         obj = maxmin_objective(self.ANCHORS)
         assert obj((0.5,)) == -maxmin_satisfaction((0.5,), self.ANCHORS)
+
+
+# The two memberships as written before they shared one ramp, kept as the
+# reference of TestMembershipMatchesReference; each takes its distance instead
+# of computing it
+def _reference_mu1(d, anchors):
+    if not anchors.d_pis_prime - anchors.d_pis_star > DEGENERACY_TOL:
+        return 1.0
+    if d < anchors.d_pis_star:
+        return 1.0
+    if d > anchors.d_pis_prime:
+        return 0.0
+    return 1.0 - (d - anchors.d_pis_star) / (anchors.d_pis_prime - anchors.d_pis_star)
+
+
+def _reference_mu2(d, anchors):
+    if not anchors.d_nis_star - anchors.d_nis_prime > DEGENERACY_TOL:
+        return 1.0
+    if d > anchors.d_nis_star:
+        return 1.0
+    if d < anchors.d_nis_prime:
+        return 0.0
+    return 1.0 - (anchors.d_nis_star - d) / (anchors.d_nis_star - anchors.d_nis_prime)
+
+
+SPANS = (0.0, DEGENERACY_TOL, math.nextafter(DEGENERACY_TOL, math.inf), -DEGENERACY_TOL, -0.5)
+
+
+@st.composite
+def ramps(draw):
+    """An anchor, a span to the other anchor (degenerate, at the tolerance,
+    just above it, negative or any), and a distance at, between or beyond
+    them, signed zeros included."""
+    best = draw(st.sampled_from((0.0, -0.0, 0.2, 0.9)) | st.floats(-2.0, 2.0))
+    span = draw(st.sampled_from(SPANS) | st.floats(-1.0, 1.0))
+    near = (best, best + span, best - span, best + span / 2, best - span / 2)
+    beyond = tuple(a + e for a in near[:3] for e in (-0.1, 0.1))
+    d = draw(st.sampled_from(near + beyond + (0.0, -0.0)) | st.floats(-3.0, 3.0))
+    return d, best, span
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def at_the_tolerance(test):
+    """Pin the cases hypothesis may miss: a zero span, a span of exactly
+    DEGENERACY_TOL with the distance on either side, and signed zeros."""
+    for ramp in (
+        (0.0, 0.0, 0.0),
+        (5e-10, 0.0, DEGENERACY_TOL),
+        (-5e-10, 0.0, DEGENERACY_TOL),
+        (-0.0, 0.0, 1.0),
+        (0.0, -0.0, 1.0),
+    ):
+        test = example(ramp)(test)
+    return settings(max_examples=500)(test)
+
+
+class TestMembershipMatchesReference:
+    @at_the_tolerance
+    @given(ramps())
+    def test_mu1(self, ramp):
+        d, best, span = ramp
+        anchors = membership_anchors(d_pis_star=best, d_pis_prime=best + span)
+        expected = _reference_mu1(d, anchors)
+        assert same_float(_membership(d, anchors.d_pis_star, anchors.d_pis_prime), expected)
+        assert same_float(mu1((d,), anchors), _reference_mu1(d_pis((d,), anchors), anchors))
+
+    @at_the_tolerance
+    @given(ramps())
+    def test_mu2(self, ramp):
+        d, best, span = ramp
+        anchors = membership_anchors(d_nis_star=best, d_nis_prime=best - span)
+        expected = _reference_mu2(d, anchors)
+        assert same_float(_membership(-d, -anchors.d_nis_star, -anchors.d_nis_prime), expected)
+        assert same_float(mu2((d,), anchors), _reference_mu2(d_nis((d,), anchors), anchors))
 
 
 class TestOracleAnchors:
