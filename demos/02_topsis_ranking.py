@@ -1,10 +1,13 @@
 """Ranking alternatives with TOPSIS.
 
 Each alternative is a row of criterion values; criteria are tagged benefit
-(larger is better) or cost. Columns are normalized by their largest absolute
-value, the per-criterion ideals are extracted, and each row is scored by its
-closeness coefficient xi = d- / (d+ + d-): 1 at the positive ideal, 0 at the
-negative ideal.
+(larger is better) or cost. `rank` negates the benefit columns, so every
+column is a cost, and hands the matrix to the one TOPSIS formula
+(`moits.topsis._topsis`, the same one that elects DE bests): columns are
+normalized by their largest absolute value, the positive ideal is each
+column's minimum and the negative ideal its maximum, and each row is scored
+by its closeness coefficient xi = d- / (d+ + d-): 1 at the positive ideal,
+0 at the negative ideal.
 """
 
 import numpy as np

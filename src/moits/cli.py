@@ -104,13 +104,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None)
 
     p_rank = sub.add_parser("rank", help="TOPSIS ranking of a CSV decision matrix")
-    p_rank.add_argument("matrix", help="CSV file, one alternative per row")
+    p_rank.add_argument("matrix",
+                        help="CSV file, one alternative per row, after an optional header row")
     p_rank.add_argument(
         "--senses",
         default=None,
-        help="comma-separated benefit/cost per column (default: all cost)",
+        help="comma-separated benefit/cost per column; overrides the header's "
+        "name:benefit / name:cost suffixes (default: those suffixes, cost where a "
+        "column has none or there is no header)",
     )
-    p_rank.add_argument("--weights", default=None, help="comma-separated, sums to 1")
+    p_rank.add_argument("--weights", default=None,
+                        help="comma-separated, sums to 1 (default: uniform)")
     p_rank.add_argument("--out", default=None)
     return parser
 

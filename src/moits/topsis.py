@@ -7,11 +7,12 @@ closeness coefficient ``xi = d- / (d+ + d-)``; ranking is by descending
 ``xi``. In the solver, the criteria are the (minimization-sense) objective
 values plus the maximum constraint violation, all treated as cost.
 
-:func:`closeness` is the one distance and closeness formula: :func:`rank`
-and the lean all-cost :func:`cost_closeness` both call it. :func:`normalize`,
-:func:`closeness` and :func:`cost_closeness` work over leading batch axes
-(alternatives on axis -2, criteria on axis -1), so a stack of matrices is
-ranked in one call.
+:func:`_topsis` is the one TOPSIS formula, for all-cost matrices: the lean
+:func:`cost_closeness` calls it with uniform weights, and :func:`rank`
+negates the benefit columns (exact in floating point) and calls it with the
+matrix's weights. :func:`normalize` and :func:`cost_closeness` work over
+leading batch axes (alternatives on axis -2, criteria on axis -1), so a
+stack of matrices is ranked in one call.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "DecisionMatrix",
     "TopsisRanking",
     "normalize",
-    "ideal_solutions",
-    "closeness",
     "rank",
     "cost_closeness",
 ]
@@ -66,9 +65,6 @@ class DecisionMatrix:
 
 @dataclass(frozen=True)
 class TopsisRanking:
-    normalized: np.ndarray
-    positive_ideal: np.ndarray
-    negative_ideal: np.ndarray
     d_plus: np.ndarray
     d_minus: np.ndarray
     closeness: np.ndarray
@@ -83,27 +79,21 @@ def normalize(entries: np.ndarray) -> np.ndarray:
     return entries / scale
 
 
-def ideal_solutions(normalized: np.ndarray, senses) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column best (positive ideal) and worst (negative ideal) rows:
-    max/min for benefit columns, min/max for cost columns."""
-    col_max = normalized.max(axis=0)
-    col_min = normalized.min(axis=0)
-    benefit = np.array([s == BENEFIT for s in senses])
-    positive = np.where(benefit, col_max, col_min)
-    negative = np.where(benefit, col_min, col_max)
-    return positive, negative
-
-
-def closeness(normalized, positive_ideal, negative_ideal, weights):
-    """Weighted Euclidean distances to each ideal and the closeness coefficient.
+def _topsis(entries: np.ndarray, weights):
+    """Distances to the ideals and closeness coefficients of all-cost matrices.
 
     Criteria lie on the last axis, alternatives on the one before it; leading
-    axes are a batch. Weights (one per criterion, or a scalar) multiply the
-    squared differences inside the root. Alternatives coinciding with both
-    ideals (d+ = d- = 0) get closeness 1.
+    axes are a batch. After normalization the positive ideal is each column's
+    minimum and the negative ideal its maximum. Weights (one per criterion,
+    or a scalar) multiply the squared differences inside the root.
+    Alternatives coinciding with both ideals (d+ = d- = 0) get closeness 1.
+    Returns ``(d_plus, d_minus, xi)``.
     """
-    d_plus = np.sqrt(((positive_ideal - normalized) ** 2 * weights).sum(axis=-1))
-    d_minus = np.sqrt(((negative_ideal - normalized) ** 2 * weights).sum(axis=-1))
+    normalized = normalize(entries)
+    positive = normalized.min(axis=-2, keepdims=True)
+    negative = normalized.max(axis=-2, keepdims=True)
+    d_plus = np.sqrt(((positive - normalized) ** 2 * weights).sum(axis=-1))
+    d_minus = np.sqrt(((negative - normalized) ** 2 * weights).sum(axis=-1))
     total = d_plus + d_minus
     degenerate = ~(total > 0.0)
     total[degenerate] = 1.0
@@ -113,25 +103,22 @@ def closeness(normalized, positive_ideal, negative_ideal, weights):
 
 
 def rank(matrix: DecisionMatrix) -> TopsisRanking:
-    """Full pipeline: normalize, ideals, distances, closeness, ordering.
+    """Distances, closeness and ordering of a decision matrix.
 
-    Ordering is by descending closeness; ties keep the lower row index.
+    Benefit columns are negated, which turns them into cost columns without
+    rounding, so :func:`_topsis` ranks every matrix. Ordering is by
+    descending closeness; ties keep the lower row index.
     """
-    normalized = normalize(matrix.entries)
-    positive, negative = ideal_solutions(normalized, matrix.criteria_senses)
-    d_plus, d_minus, xi = closeness(normalized, positive, negative, matrix.weights)
+    signs = np.array([-1.0 if s == BENEFIT else 1.0 for s in matrix.criteria_senses])
+    d_plus, d_minus, xi = _topsis(matrix.entries * signs, matrix.weights)
     order = tuple(int(i) for i in np.argsort(-xi, kind="stable"))
-    return TopsisRanking(normalized, positive, negative, d_plus, d_minus, xi, order)
+    return TopsisRanking(d_plus, d_minus, xi, order)
 
 
 def cost_closeness(entries: np.ndarray) -> np.ndarray:
     """Closeness coefficients of all-cost matrices with uniform weights.
 
-    Lean path used inside the optimizer loops: :func:`rank` specialized to
-    cost criteria, over leading batch axes (alternatives on axis -2, criteria
-    on axis -1).
+    Lean path used inside the optimizer loops, over leading batch axes
+    (alternatives on axis -2, criteria on axis -1).
     """
-    normalized = normalize(entries)
-    positive = normalized.min(axis=-2, keepdims=True)
-    negative = normalized.max(axis=-2, keepdims=True)
-    return closeness(normalized, positive, negative, 1.0 / entries.shape[-1])[2]
+    return _topsis(entries, 1.0 / entries.shape[-1])[2]

@@ -7,7 +7,8 @@ prints the tests that fail. The whole checkout is copied, not ``src/`` alone,
 because ``perfbench/test_perfbench.py`` puts its own checkout's ``src/`` first
 on ``sys.path``. No file of the checkout changes. Each mutant costs a full
 Tier-1 run, one to two minutes on two CPUs, so the result is reported, not
-gated; CI runs ``mu_no_clip`` alone and fails unless some test fails.
+gated; CI runs ``mu_no_clip`` and ``topsis_benefit_as_cost`` and fails
+unless some test fails under each.
 
     python tests/mutants.py                       # every mutant
     python tests/mutants.py no_kick elect_worst   # the named ones
@@ -54,6 +55,9 @@ MUTANTS = {
                    "the membership ramp is not clipped at 0 beyond its worst anchor"),
     "topsis_no_normalize": ("topsis.py", "return entries / scale", "return entries",
                             "TOPSIS does not normalize its decision matrix"),
+    "topsis_benefit_as_cost": ("topsis.py", "-1.0 if s == BENEFIT else 1.0",
+                               "1.0 if s == BENEFIT else 1.0",
+                               "rank treats benefit columns as cost"),
     "stage1_no_skip": ("pipeline.py", "if fn is VIOLATION and feasible_seen:", "if False:",
                        "stage 1 spends DE runs on G after a feasible point"),
     "keep_dropped": ("pipeline.py", "(active if hi - lo > tol else dropped)",

@@ -1,19 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import moits.de as de
 from moits.de import Individual, choose_best, single_objective
 from moits.problems import Evaluation
-from moits.topsis import (
-    BENEFIT,
-    COST,
-    DecisionMatrix,
-    closeness,
-    cost_closeness,
-    ideal_solutions,
-    normalize,
-    rank,
-)
+from moits.topsis import BENEFIT, COST, DecisionMatrix, cost_closeness, normalize, rank
 
 
 def cost_matrix(entries, weights=None):
@@ -53,33 +45,33 @@ class TestNormalize:
 
 
 class TestIdealSolutions:
+    """The ideal end of a column follows its sense: an alternative at the
+    positive ideal has d+ = 0, one at the negative ideal d- = 0."""
+
     def test_cost_column(self):
-        pos, neg = ideal_solutions(np.array([[0.5], [1.0]]), (COST,))
-        assert (pos[0], neg[0]) == (0.5, 1.0)
+        ranking = rank(DecisionMatrix(np.array([[0.5], [1.0]]), (COST,), np.array([1.0])))
+        assert ranking.d_plus[0] == 0.0 and ranking.d_minus[1] == 0.0
 
     def test_benefit_column(self):
-        pos, neg = ideal_solutions(np.array([[0.5], [1.0]]), (BENEFIT,))
-        assert (pos[0], neg[0]) == (1.0, 0.5)
+        ranking = rank(DecisionMatrix(np.array([[0.5], [1.0]]), (BENEFIT,), np.array([1.0])))
+        assert ranking.d_plus[1] == 0.0 and ranking.d_minus[0] == 0.0
 
     def test_degenerate_column(self):
-        pos, neg = ideal_solutions(np.array([[0.3], [0.3]]), (COST,))
-        assert pos[0] == neg[0] == 0.3
+        for sense in (COST, BENEFIT):
+            ranking = rank(DecisionMatrix(np.array([[0.3], [0.3]]), (sense,), np.array([1.0])))
+            assert ranking.d_plus.tolist() == ranking.d_minus.tolist() == [0.0, 0.0]
 
 
 class TestCloseness:
     def test_alternative_at_positive_ideal(self):
-        normalized = np.array([[0.2, 0.2], [1.0, 1.0]])
-        pos, neg = ideal_solutions(normalized, (COST, COST))
-        d_plus, d_minus, xi = closeness(normalized, pos, neg, [0.5, 0.5])
-        assert d_plus[0] == 0.0 and xi[0] == 1.0
+        ranking = rank(cost_matrix([[0.2, 0.2], [1.0, 1.0]]))
+        assert ranking.d_plus[0] == 0.0 and ranking.closeness[0] == 1.0
 
     def test_hand_computed_symmetric_case(self):
         # rows (1,2) and (2,1), both criteria cost, uniform weights
         matrix = cost_matrix([[1.0, 2.0], [2.0, 1.0]])
         ranking = rank(matrix)
-        np.testing.assert_allclose(ranking.normalized, [[0.5, 1.0], [1.0, 0.5]])
-        np.testing.assert_allclose(ranking.positive_ideal, [0.5, 0.5])
-        np.testing.assert_allclose(ranking.negative_ideal, [1.0, 1.0])
+        np.testing.assert_allclose(normalize(matrix.entries), [[0.5, 1.0], [1.0, 0.5]])
         assert abs(ranking.d_plus[0] - np.sqrt(0.125)) < 1e-12
         assert abs(ranking.d_minus[0] - np.sqrt(0.125)) < 1e-12
         assert abs(ranking.closeness[0] - 0.5) < 1e-12
@@ -120,7 +112,7 @@ class TestProperties:
             scales = rng.random(cols) * 5 + 0.1
             base = rank(cost_matrix(entries))
             scaled = rank(cost_matrix(entries * scales))
-            np.testing.assert_allclose(scaled.normalized, base.normalized)
+            np.testing.assert_allclose(normalize(entries * scales), normalize(entries))
             np.testing.assert_allclose(scaled.closeness, base.closeness)
             assert scaled.order == base.order
 
@@ -183,3 +175,117 @@ class TestProperties:
             pairs = np.array([(objective(ind.eval.objectives_min), ind.eval.violation) for ind in pop])
             elected = de._elect(pairs, rows)
             assert elected.tolist() == [choose_best(pop, row, objective) for row in rows]
+
+
+# TOPSIS as written before rank and cost_closeness shared one all-cost
+# formula, kept as the reference of TestRankMatchesReference: ideals picked
+# per column sense, then a four-argument closeness
+def _reference_normalize(entries):
+    scale = np.abs(entries).max(axis=-2, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    return entries / scale
+
+
+def _reference_ideal_solutions(normalized, senses):
+    col_max = normalized.max(axis=0)
+    col_min = normalized.min(axis=0)
+    benefit = np.array([s == BENEFIT for s in senses])
+    positive = np.where(benefit, col_max, col_min)
+    negative = np.where(benefit, col_min, col_max)
+    return positive, negative
+
+
+def _reference_closeness(normalized, positive_ideal, negative_ideal, weights):
+    d_plus = np.sqrt(((positive_ideal - normalized) ** 2 * weights).sum(axis=-1))
+    d_minus = np.sqrt(((negative_ideal - normalized) ** 2 * weights).sum(axis=-1))
+    total = d_plus + d_minus
+    degenerate = ~(total > 0.0)
+    total[degenerate] = 1.0
+    xi = d_minus / total
+    xi[degenerate] = 1.0
+    return d_plus, d_minus, xi
+
+
+def _reference_rank(matrix):
+    """(d_plus, d_minus, closeness, order) of ``matrix``."""
+    normalized = _reference_normalize(matrix.entries)
+    positive, negative = _reference_ideal_solutions(normalized, matrix.criteria_senses)
+    d_plus, d_minus, xi = _reference_closeness(normalized, positive, negative, matrix.weights)
+    order = tuple(int(i) for i in np.argsort(-xi, kind="stable"))
+    return d_plus, d_minus, xi, order
+
+
+ENTRY = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5)) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def columns(draw, rows):
+    """One column: any values, all (signed) zeros, or one constant."""
+    kind = draw(st.sampled_from(("any", "zero", "constant")))
+    if kind == "zero":
+        return draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=rows, max_size=rows))
+    if kind == "constant":
+        return [draw(ENTRY)] * rows
+    return draw(st.lists(ENTRY, min_size=rows, max_size=rows))
+
+
+@st.composite
+def decision_matrices(draw):
+    """1-8 alternatives, 1-5 criteria of random senses, and non-negative
+    weights that sum to 1."""
+    rows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 5))
+    entries = np.array([draw(columns(rows)) for _ in range(ncols)], dtype=float).T
+    senses = tuple(draw(st.lists(st.sampled_from((COST, BENEFIT)),
+                                 min_size=ncols, max_size=ncols)))
+    raw = np.array(draw(st.lists(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+                                 min_size=ncols, max_size=ncols)))
+    weights = raw / raw.sum() if raw.sum() > 0.0 else np.full(ncols, 1.0 / ncols)
+    return DecisionMatrix(entries, senses, weights)
+
+
+def same_bits(ours, reference):
+    return np.asarray(ours).tobytes() == np.asarray(reference).tobytes()
+
+
+LAPTOPS = DecisionMatrix(
+    np.array([[600.0, 7.0, 1.8], [1400.0, 14.0, 1.1], [2200.0, 9.0, 2.4], [1800.0, 5.0, 3.1]]),
+    (COST, BENEFIT, COST), np.array([0.5, 0.3, 0.2]),
+)
+
+
+class TestRankMatchesReference:
+    """rank negates benefit columns and runs the all-cost formula; the
+    closeness, both distances and the order are the reference's, bit for bit."""
+
+    @settings(max_examples=400)
+    @given(decision_matrices())
+    @example(LAPTOPS)
+    @example(DecisionMatrix(np.array([[7.0]]), (BENEFIT,), np.array([1.0])))
+    @example(DecisionMatrix(np.array([[0.0, 2.0], [-0.0, 1.0], [0.0, -3.0]]),
+                            (BENEFIT, BENEFIT), np.array([0.5, 0.5])))
+    @example(DecisionMatrix(np.array([[4.0, -1.0], [4.0, 2.0]]),
+                            (BENEFIT, COST), np.array([0.25, 0.75])))
+    @example(DecisionMatrix(np.array([[1.0, 5.0, -0.0], [3.0, 2.0, 0.0]]),
+                            (COST, BENEFIT, BENEFIT), np.array([0.0, 1.0, 0.0])))
+    @example(DecisionMatrix(np.array([[2.0, 3.0], [2.0, 3.0]]),
+                            (BENEFIT, COST), np.array([0.5, 0.5])))
+    def test_rank(self, matrix):
+        ranking = rank(matrix)
+        d_plus, d_minus, xi, order = _reference_rank(matrix)
+        assert same_bits(ranking.closeness, xi)
+        assert same_bits(ranking.d_plus, d_plus)
+        assert same_bits(ranking.d_minus, d_minus)
+        assert ranking.order == order
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(
+        lambda depth: st.lists(decision_matrices(), min_size=depth, max_size=depth)))
+    @example([cost_matrix([[0.0, -0.0], [-0.0, 0.0]]), cost_matrix([[1.0, 2.0], [2.0, 1.0]])])
+    def test_batched_cost_closeness(self, matrices):
+        # one shape for the stack: the first matrix's, its entries reused
+        # cyclically, every column cost and every weight uniform
+        shape = matrices[0].entries.shape
+        stack = np.stack([np.resize(m.entries, shape) for m in matrices])
+        expected = [_reference_rank(cost_matrix(m))[2] for m in stack]
+        assert same_bits(cost_closeness(stack), np.stack(expected))
