@@ -6,11 +6,12 @@ variables are tabu for a random tenure unless the move beats the best point
 found so far (aspiration); when the whole memory is stale, one coordinate is
 re-sampled anywhere in its range (diversification).
 
-A `CachedEvaluator` binds the problem and the objective and memoizes every
-evaluation. The search returns the flat lattice index of its best point,
-which `evaluator.point` decodes, and `evaluator.evals` holds every point the
-walk evaluated -- the hybrid pipeline archives all feasible ones, not just the
-single best.
+A `CachedEvaluator` binds the problem and the objective and memoizes the
+comparison key of every point the walk looks at in `evaluator.keys`. An
+infeasible point is keyed by its constraint violation alone, so only the
+feasible points are evaluated in full, into `evaluator.evals` -- the hybrid
+pipeline archives all of them, not just the single best. The search returns
+the flat lattice index of its best point, which `evaluator.point` decodes.
 """
 
 import numpy as np
@@ -31,6 +32,6 @@ print(f"continuous solution {continuous} rounds to {rounded}")
 best = tabu_search(rounded, 200, evaluator, draw)  # a flat lattice index
 print(f"tabu search refines it to {evaluator.point(best)}")
 
-feasible = sorted(evaluator.point(i) for i, ev in evaluator.evals.items() if ev.violation == 0.0)
-print(f"the walk evaluated {len(evaluator.evals)} lattice points, {len(feasible)} of them "
-      f"feasible, e.g. {feasible[:6]} ...")
+feasible = sorted(evaluator.point(i) for i in evaluator.evals)
+print(f"the walk looked at {len(evaluator.keys)} lattice points and evaluated the "
+      f"{len(feasible)} feasible ones in full, e.g. {feasible[:6]} ...")

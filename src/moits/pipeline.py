@@ -8,9 +8,10 @@ distances (the fuzzy max-min compromise). Both are one clipped linear ramp,
 falling with the distance to the ideal and rising with the distance to the
 anti-ideal. Stage 3 alternates the evolution engine with tabu-search
 refinement of every population member, archiving each feasible integer point
-the walks evaluated. Stage 3 stops as soon as its walks have evaluated every
-lattice point of the box: the archive is then final, and further moves could
-only revisit known points.
+the walks looked at. The walks evaluate the objectives of feasible points
+only: an infeasible point is ranked by its violation alone. Stage 3 stops as
+soon as its walks have looked at (keyed) every lattice point of the box: the
+archive is then final, and further moves could only revisit known points.
 
 Constraints enter the pipeline as an extra minimization objective, the
 maximum violation G(x): a ``VIOLATION`` slot that evaluation fills from the
@@ -298,14 +299,16 @@ def stage3_alternate(
     budget, then rounds and tabu-refines every population member, writing the
     result back into the population when it improves the incumbent. The
     archive is one :func:`pareto_filter` call, on the original objectives,
-    over every feasible lattice point the walks evaluated, landing or scan
-    neighbour, decoded from its flat index; it carries ``anchors``. The kept
-    set does not depend on the order of the points.
+    over every feasible lattice point the walks looked at, landing or scan
+    neighbour (the feasible entries of ``evaluator.evals``), decoded from its
+    flat index; it carries ``anchors``. The kept set does not depend on the
+    order of the points.
 
     Both loops stop after the first tabu search that leaves every point of
-    the box evaluated, feasible or not: no later move can add to the
-    archive. The skipped searches and DE runs draw no uniforms, so the stop
-    changes only the state in which ``draw`` is left.
+    the box keyed, feasible or not (``len(evaluator.keys)`` reaches the
+    lattice size): no later move can add to the archive. The skipped
+    searches and DE runs draw no uniforms, so the stop changes only the
+    state in which ``draw`` is left.
     """
     objective = maxmin_objective(anchors)
     evaluator = tabu.CachedEvaluator(problem_k, objective)
@@ -320,9 +323,9 @@ def stage3_alternate(
                                           member.eval.violation):
                 pop[i] = de.Individual(tuple(map(float, evaluator.point(j))),
                                        evaluator.evaluation(j))
-            if len(evaluator.evals) == lattice_size:
+            if len(evaluator.keys) == lattice_size:
                 break
-        if len(evaluator.evals) == lattice_size:
+        if len(evaluator.keys) == lattice_size:
             break
     front = pareto_filter((evaluator.point(j), Evaluation(ev.objectives_min[:d_original], 0.0))
                           for j, ev in evaluator.evals.items() if ev.violation == 0.0)

@@ -5,9 +5,11 @@ inequality constraints ``g_j(x) <= 0`` and an integer box ``[l, u]``.
 Evaluation converts every objective to minimization sense and aggregates
 constraint violation into a single scalar ``G(x) = max(0, g_1, ..., g_m)``,
 so that all downstream comparisons (dominance, Deb feasibility rules,
-TOPSIS criteria) work on one uniform representation. :func:`evaluate` is the
-one place G is computed; an objective slot holding :data:`VIOLATION` reads it,
-and a problem has at most one such slot.
+TOPSIS criteria) work on one uniform representation. ``_max_violation`` is
+the one place G is computed: :func:`evaluate` calls it, and so does the tabu
+search's key of a lattice point, which reads no objective of an infeasible
+point. An objective slot holding :data:`VIOLATION` reads G, and a problem has
+at most one such slot.
 
 A :class:`Problem` builds its evaluation plan once, when it is created (and
 again in every ``dataclasses.replace``): a ``(index, fn, negate)`` triple per
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 import numbers
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Sequence
 
 __all__ = [
@@ -129,23 +131,29 @@ def evaluate(problem: Problem, x) -> Evaluation:
         raise ValueError(
             f"point of length {len(x)} for problem of dimension {problem.dimension}"
         )
-    objectives, slot, constraints = problem._plan
+    objectives, slot, _ = problem._plan
     objs = []
     for i, fn, negate in objectives:
         val = float(fn(x))
-        if not math.isfinite(val):
+        if not isfinite(val):
             raise ValueError(f"objective {i} of {problem.name!r} is non-finite at {tuple(x)}")
         objs.append(-val if negate else val)
-    violation = 0.0
-    for j, g in constraints:
-        gval = float(g(x))
-        if not math.isfinite(gval):
-            raise ValueError(f"constraint {j} of {problem.name!r} is non-finite at {tuple(x)}")
-        if gval > violation:
-            violation = gval
+    violation = _max_violation(problem, x)
     if slot >= 0:
         objs.insert(slot, violation)
     return Evaluation(tuple(objs), violation)
+
+
+def _max_violation(problem: Problem, x) -> float:
+    """G(x) = max(0, g_1(x), ..., g_m(x)); a non-finite g_j raises ``ValueError``."""
+    violation = 0.0
+    for j, g in problem._plan[2]:
+        gval = float(g(x))
+        if not isfinite(gval):
+            raise ValueError(f"constraint {j} of {problem.name!r} is non-finite at {tuple(x)}")
+        if gval > violation:
+            violation = gval
+    return violation
 
 
 def dominates(a: Evaluation, b: Evaluation) -> bool:

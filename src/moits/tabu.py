@@ -17,12 +17,17 @@ the product of the radices u_i - l_i + 1 of the variables after j. A +/-1
 move along variable j is then i -/+ stride_j, and index order is the
 lexicographic order of the points.
 
-Keys: each lattice point's feasibility-rule key is evaluated the first time
-the walk looks at it. :class:`CachedEvaluator` stores the keys in a dict that
-reads a missing index as ``None``, so the walk reads a key as
-``keys[i] or key(i)``. Its ``evals`` dict holds the evaluation of every point
-the walks have looked at, which is where a caller harvests candidate
-solutions beyond each search's best.
+Keys: each lattice point's feasibility-rule key is computed the first time
+the walk looks at it, constraints first. Deb's rules rank two infeasible
+points by their violation G alone, so an infeasible point is keyed
+``(1, G)`` without calling an objective; only a feasible point is evaluated
+in full and given its fitness. :class:`CachedEvaluator` stores the keys in
+the dict ``keys``, the record of every point looked at, which reads a
+missing index as ``None``, so the walk reads a key as ``keys[i] or key(i)``.
+Its ``evals`` dict holds the full evaluation of every feasible point the
+walks have looked at (and of any point asked for through ``evaluation``),
+which is where a caller harvests candidate solutions beyond each search's
+best.
 
 The kernel: one :func:`tabu_move` call runs a whole search and keeps the
 aspiration level current inside the call: a landing whose key beats the level
@@ -43,22 +48,25 @@ import math
 from collections import defaultdict
 from collections.abc import Callable
 
-from .problems import Evaluation, Problem, deb_key, evaluate
+from .problems import Evaluation, Problem, _max_violation, deb_key, evaluate
 
 __all__ = ["CachedEvaluator", "stochastic_round", "tabu_move", "tabu_search"]
 
 
 class CachedEvaluator:
-    """Memoizes evaluations (and scalar fitness keys) of the lattice points of
-    a problem's box.
+    """Memoizes the scalar fitness keys (and the evaluations of feasible
+    points) of the lattice points of a problem's box.
 
     Both caches are dicts keyed by the flat index of a point (see the module
-    docstring); a miss evaluates the decoded point with :func:`evaluate`.
-    Evaluations live in ``evals``; keys live in a dict that reads a miss as
-    ``None``, so both hold exactly the points looked at, whatever the size of
-    the box. The benchmark lattices are tiny compared to the tabu move
-    budget, so the search revisits points constantly; caching makes each
-    neighbour an integer addition and a dict lookup.
+    docstring). A key miss computes the decoded point's violation G first:
+    an infeasible point gets the key ``(1, G)`` and no objective call, a
+    feasible one is evaluated with :func:`evaluate`. ``keys`` reads a miss as
+    ``None`` and holds exactly the points looked at, whatever the size of the
+    box; ``evals`` holds the full evaluations of the feasible ones among
+    them, plus any point asked for through :meth:`evaluation`. The benchmark
+    lattices are tiny compared to the tabu move budget, so the search
+    revisits points constantly; caching makes each neighbour an integer
+    addition and a dict lookup.
     """
 
     def __init__(self, problem: Problem, objective):
@@ -74,7 +82,7 @@ class CachedEvaluator:
         self.evals: dict[int, Evaluation] = {}
         # a missing index reads as a None slot that key then fills;
         # NoneType as the factory is a C call, a Python __missing__ is not
-        self._keys = defaultdict(type(None))
+        self.keys = defaultdict(type(None))
 
     def index(self, x) -> int:
         """Flat index of the lattice point ``x``; a point outside the box
@@ -93,7 +101,8 @@ class CachedEvaluator:
                       for lo, s, r in zip(self.problem.lower_bounds, self.strides, self.radix)])
 
     def evaluation(self, i: int) -> Evaluation:
-        """The evaluation of the lattice point of flat index ``i``."""
+        """The full evaluation of the lattice point of flat index ``i``,
+        feasible or not."""
         ev = self.evals.get(i)
         if ev is None:
             ev = self.evals[i] = evaluate(self.problem, self.point(i))
@@ -102,10 +111,17 @@ class CachedEvaluator:
     def key(self, i: int):
         """Feasibility-rule comparison key of flat index ``i`` under the bound
         objective."""
-        k = self._keys[i]
+        k = self.keys[i]
         if k is None:
-            ev = self.evaluation(i)
-            k = self._keys[i] = deb_key(self.objective(ev.objectives_min), ev.violation)
+            ev = self.evals.get(i)
+            if ev is None:
+                x = self.point(i)
+                violation = _max_violation(self.problem, x)
+                if violation > 0.0:  # deb_key's infeasible key; it reads no fitness
+                    k = self.keys[i] = (1, violation)
+                    return k
+                ev = self.evals[i] = evaluate(self.problem, x)
+            k = self.keys[i] = deb_key(self.objective(ev.objectives_min), ev.violation)
         return k
 
 
@@ -150,7 +166,7 @@ def tabu_move(
     be at most ``k``, as it is along a walk.
     """
     n = len(t)
-    keys, key = evaluator._keys, evaluator.key
+    keys, key = evaluator.keys, evaluator.key
     strides, radix, axes = evaluator.strides, evaluator.radix, evaluator.axes
     star_key = keys[star] or key(star)
     last = max(t)  # stamps only grow, so the newest stamp is the largest
@@ -197,7 +213,8 @@ def tabu_search(
     returns the flat index of the best point found (``evaluator.point``
     decodes an index).
 
-    Every point the walk looks at is left in ``evaluator.evals``. A start
+    Every point the walk looks at is left in ``evaluator.keys``, and the
+    feasible ones with their evaluations in ``evaluator.evals``. A start
     outside the box raises ``ValueError``.
     """
     i = evaluator.index(tuple(int(v) for v in x0))

@@ -48,6 +48,9 @@ MUTANTS = {
     "no_writeback": ("pipeline.py", "if evaluator.key(j) < deb_key(",
                      "if False and evaluator.key(j) < deb_key(",
                      "stage 3 never writes a tabu point back"),
+    "infeasible_key_flat": ("tabu.py", "k = self.keys[i] = (1, violation)",
+                            "k = self.keys[i] = (1, 0.0)",
+                            "an infeasible point is keyed (1, 0.0) whatever its violation"),
     "round_down": ("tabu.py", "base + 1 if draw() < frac else base",
                    "base if draw() < frac else base",
                    "stochastic rounding always floors, still drawing"),

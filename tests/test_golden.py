@@ -14,6 +14,11 @@ exact fronts whatever the walks do. Two light solves of `WIDE_BOX`, whose
 10**6 points the walks cannot exhaust, pin what stage 3 does: their digests
 and next draws move when the write-back, the aspiration criterion, the
 diversification kick, the unbiased rounding or the TOPSIS election breaks.
+
+`KNAPSACK_BOX` is shaped like the `wide` benchmark: two knapsack rows at 12%
+of the box's capacity, so that G is a max over two g's and most points the
+walks look at are infeasible. Its two light solves pin the walks where the
+tabu keys of infeasible points, ranked by G alone, decide most moves.
 """
 
 import hashlib
@@ -25,6 +30,7 @@ import pytest
 from moits.benchmarks import benchmark
 from moits.de import DEConfig
 from moits.pipeline import HybridConfig, solve
+from moits.problems import Problem
 from test_pipeline import WIDE_BOX
 
 PINS = {
@@ -56,6 +62,53 @@ WIDE_CONFIG = HybridConfig(
     de=DEConfig(variant="degl", population_size=8, max_iterations=1),
     ts_iterations=200,
     alternations=3,
+)
+
+# recorded while every keyed point was still evaluated in full, so they hold
+# the keys of infeasible points by G alone to the same walks. Of the 13**5 =
+# 371293 points, the stage-3 walks of seeds 1 and 2 key 4167 and 5188, and
+# 92.2% and 93.8% of those are infeasible
+KNAPSACK_PINS = {
+    1: ("8128a48dfe13a8d4856689e27c42f65ef9518f2890a3a151183e2bab026ad844",
+        "0.6489636809602422"),
+    2: ("4cdeb8b32f132f53ddc2e030e2161caaa52ba8c55da0c349e5c38adfb4e68655",
+        "0.9930445372834005"),
+}
+
+_KNAPSACKS = ((3.0, 3.0, 4.0, 5.0, 1.0), (5.0, 5.0, 2.0, 2.0, 5.0))
+_CAPACITY = tuple(round(0.12 * sum(row) * 12, 6) for row in _KNAPSACKS)
+_CENTERS = ((3, 10, 3, 5, 8), (9, 12, 1, 9, 4))
+_VALUES = (4.0, 1.0, 3.0, 2.0, 5.0)
+
+
+def _cost_to_first_center(x):
+    return sum((v - c) ** 2 for v, c in zip(x, _CENTERS[0]))
+
+
+def _cost_to_second_center(x):
+    return sum((v - c) ** 2 for v, c in zip(x, _CENTERS[1]))
+
+
+def _value(x):
+    return sum(w * v for w, v in zip(_VALUES, x))
+
+
+def _first_knapsack(x):
+    return sum(w * v for w, v in zip(_KNAPSACKS[0], x)) - _CAPACITY[0]
+
+
+def _second_knapsack(x):
+    return sum(w * v for w, v in zip(_KNAPSACKS[1], x)) - _CAPACITY[1]
+
+
+KNAPSACK_BOX = Problem(
+    dimension=5,
+    objectives=((_cost_to_first_center, "min"), (_cost_to_second_center, "min"),
+                (_value, "max")),
+    constraints=(_first_knapsack, _second_knapsack),
+    lower_bounds=(0,) * 5,
+    upper_bounds=(12,) * 5,
+    name="knapsack-box",
 )
 
 
@@ -95,3 +148,8 @@ def test_seeded_solve_next_draw_is_pinned(solves, name, variant):
 @pytest.mark.parametrize("seed", sorted(WIDE_PINS))
 def test_wide_box_solve_is_pinned(seed):
     assert pinned_solve(WIDE_BOX, WIDE_CONFIG, seed) == WIDE_PINS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(KNAPSACK_PINS))
+def test_knapsack_box_solve_is_pinned(seed):
+    assert pinned_solve(KNAPSACK_BOX, WIDE_CONFIG, seed) == KNAPSACK_PINS[seed]

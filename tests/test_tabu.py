@@ -320,8 +320,8 @@ class TestKernelMatchesReference:
             expected = _reference_tabu_search(x0, iterations, reference_rng, reference)
             assert kernel.point(best) == expected
             assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
-        # the same lazy misses: the kernel evaluated exactly the reference's points
-        assert {kernel.point(i) for i in kernel.evals} == set(reference._evals)
+        # the same lazy misses: the kernel keyed exactly the reference's points
+        assert {kernel.point(i) for i in kernel.keys} == set(reference._keys)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tied_best_keeps_the_first_found(self, seed):
@@ -411,9 +411,115 @@ class TestKeyStore:
     def test_keys_held_for_exactly_the_evaluated_points(self, widths):
         problem = box_problem([0] * len(widths), list(widths), [3] * len(widths), 10**6)
         evaluator = CachedEvaluator(problem, OBJ1)
-        assert len(evaluator._keys) == 0
+        assert len(evaluator.keys) == 0
         start = tuple(w // 2 for w in widths)
         best = tabu_search(start, 300, evaluator, np.random.default_rng(0).random)
         assert evaluator.key(best) <= evaluator.key(evaluator.index(start))
-        assert set(evaluator._keys) == set(evaluator.evals)
-        assert None not in evaluator._keys.values()
+        assert set(evaluator.keys) == set(evaluator.evals)
+        assert None not in evaluator.keys.values()
+
+    def test_evaluations_held_for_exactly_the_feasible_keyed_points(self):
+        # the cap of 12 on the sum of 4 coordinates in [0, 10] leaves most points infeasible
+        problem = box_problem([0] * 4, [10] * 4, [5] * 4, 12)
+        evaluator = CachedEvaluator(problem, OBJ1)
+        tabu_search((10, 10, 0, 0), 300, evaluator, np.random.default_rng(0).random)
+        feasible = {i for i, k in evaluator.keys.items() if k[0] == 0}
+        assert feasible and len(feasible) < len(evaluator.keys)
+        assert set(evaluator.evals) == feasible
+        assert all(ev.violation == 0.0 for ev in evaluator.evals.values())
+
+
+def capped_problem(capacities=(4, 6), nan_at=None):
+    """Two caps over the box [-3, 3]^2, on x1 + x2 and on x1 - x2, under the
+    objective x1^2 + x2^2, which is NaN at the point ``nan_at``."""
+
+    def f(x):
+        return float("nan") if tuple(x) == nan_at else float(x[0] ** 2 + x[1] ** 2)
+
+    return Problem(
+        dimension=2,
+        objectives=((f, "min"),),
+        constraints=(lambda x: float(x[0] + x[1] - capacities[0]),
+                     lambda x: float(x[0] - x[1] - capacities[1])),
+        lower_bounds=(-3, -3),
+        upper_bounds=(3, 3),
+        name="capped",
+    )
+
+
+class TestConstraintFirstKeys:
+    """An infeasible lattice point is keyed by its violation G alone: Deb's
+    rules never read its objectives, so neither does the walk."""
+
+    def test_objective_called_only_at_feasible_keyed_points(self):
+        calls = []
+
+        def counted(x):
+            calls.append(tuple(x))
+            return float((x[0] - 1) ** 2 + (x[1] + 1) ** 2)
+
+        problem = Problem(dimension=3, objectives=((counted, "min"),),
+                          constraints=(lambda x: float(sum(x) - 10),),
+                          lower_bounds=(0, 0, 0), upper_bounds=(9, 9, 9))
+        evaluator = CachedEvaluator(problem, OBJ1)
+        tabu_search((9, 9, 9), 400, evaluator, np.random.default_rng(3).random)
+        feasible = {evaluator.point(i) for i, k in evaluator.keys.items() if k[0] == 0}
+        assert len(feasible) < len(evaluator.keys)
+        assert sorted(calls) == sorted(feasible)
+
+    @pytest.mark.parametrize("point, key", [
+        pytest.param((3, 3), (1, 2.0), id="over-the-first-cap-by-2"),
+        pytest.param((2, 3), (1, 1.0), id="over-the-first-cap-by-1"),
+        pytest.param((3, -3), (1, 1.0), id="over-the-second-cap-by-1"),
+        pytest.param((3, -2), (0, 13.0), id="on-the-second-cap"),  # feasible: keyed by fitness
+    ])
+    def test_key_is_the_violation_or_the_fitness(self, point, key):
+        evaluator = CachedEvaluator(capped_problem(capacities=(4, 5)), OBJ1)
+        assert evaluator.key(evaluator.index(point)) == key
+
+    @settings(max_examples=80, deadline=None)
+    @given(box=boxes(), seed=st.integers(0, 2**32 - 1))
+    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), seed=2)
+    def test_every_key_equals_the_reference_key(self, box, seed):
+        problem = box_problem(*box)
+        evaluator, reference = CachedEvaluator(problem, OBJ1), _ReferenceEvaluator(problem, OBJ1)
+        x0 = tuple(problem.upper_bounds)
+        tabu_search(x0, 120, evaluator, np.random.default_rng(seed).random)
+        assert evaluator.keys
+        for i, k in evaluator.keys.items():
+            assert k == reference.key(evaluator.point(i))
+
+    def test_evaluation_of_an_infeasible_keyed_index(self):
+        problem = capped_problem()
+        evaluator = CachedEvaluator(problem, OBJ1)
+        i = evaluator.index((3, 3))
+        assert evaluator.key(i) == (1, 2.0)
+        assert i not in evaluator.evals
+        assert evaluator.evaluation(i) == evaluate(problem, (3, 3))
+        assert evaluator.key(i) == (1, 2.0)
+
+    def test_nan_objective_at_an_infeasible_point_does_not_stop_a_walk(self):
+        # (3, 3) violates the first cap; the walk from (3, 2) looks at it
+        evaluator = CachedEvaluator(capped_problem(nan_at=(3, 3)), OBJ1)
+        best = tabu_search((3, 2), 50, evaluator, np.random.default_rng(0).random)
+        assert evaluator.index((3, 3)) in evaluator.keys
+        assert evaluator.point(best) == (0, 0)
+
+    def test_nan_objective_at_a_feasible_point_raises_naming_it(self):
+        evaluator = CachedEvaluator(capped_problem(nan_at=(0, 1)), OBJ1)
+        with pytest.raises(ValueError,
+                           match=re.escape("objective 0 of 'capped' is non-finite at (0, 1)")):
+            tabu_search((3, 1), 50, evaluator, np.random.default_rng(0).random)
+
+    @pytest.mark.parametrize("where", [(3, 3), (0, 0)], ids=["infeasible", "feasible"])
+    def test_non_finite_constraint_raises_anywhere(self, where):
+        def g(x):
+            return float("inf") if tuple(x) == where else -1.0
+
+        problem = Problem(dimension=2, objectives=((lambda x: float(x[0] ** 2), "min"),),
+                          constraints=(lambda x: float(x[0] + x[1] - 4), g),
+                          lower_bounds=(-3, -3), upper_bounds=(3, 3), name="capped")
+        evaluator = CachedEvaluator(problem, OBJ1)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"constraint 1 of 'capped' is non-finite at {where}")):
+            evaluator.key(evaluator.index(where))
