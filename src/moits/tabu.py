@@ -36,6 +36,15 @@ landing with the least key, which is what a strict ``<`` update after every
 move picks. A search reports it as a flat index, so a caller reads its cached
 evaluation and decodes only the points it keeps.
 
+Most scans of a long walk stall: no neighbour is admissible, and the walk
+stands where it is. Keys never change, so the first scan at a point records
+the neighbours whose keys beat the point's, and each further scan there
+draws its tenures and tests only those, with no key lookup. A point that no
+neighbour beats stalls at every scan until the kick, so the walk skips to the
+kick (or to the end of the move budget), drawing the skipped scans' uniforms.
+The walk, its draws and its key store are those of a walk that scans every
+neighbour at every move.
+
 Random draws: rounding and the walk take a ``draw`` callable returning one
 uniform in [0, 1), the solve's one stream (see :mod:`moits.de`) or
 ``rng.random``. Rounding takes one uniform per component; a move takes one
@@ -44,6 +53,7 @@ per variable when it scans and two when it kicks.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import defaultdict
 from collections.abc import Callable
@@ -60,7 +70,9 @@ class CachedEvaluator:
     Both caches are dicts keyed by the flat index of a point (see the module
     docstring). A key miss computes the decoded point's violation G first:
     an infeasible point gets the key ``(1, G)`` and no objective call, a
-    feasible one is evaluated with :func:`evaluate`. ``keys`` reads a miss as
+    feasible one is evaluated with :func:`evaluate` on the problem without
+    its constraints, so each constraint is called once per keyed point and
+    the evaluation is the one ``evaluate`` gives. ``keys`` reads a miss as
     ``None`` and holds exactly the points looked at, whatever the size of the
     box; ``evals`` holds the full evaluations of the feasible ones among
     them, plus any point asked for through :meth:`evaluation`. The benchmark
@@ -72,6 +84,9 @@ class CachedEvaluator:
     def __init__(self, problem: Problem, objective):
         self.problem = problem
         self.objective = objective
+        # G is 0 at a feasible point, so its evaluation is that of the problem
+        # without constraints, which does not call them a second time
+        self._feasible = dataclasses.replace(problem, constraints=())
         self.radix = tuple(u - lo + 1 for lo, u in zip(problem.lower_bounds, problem.upper_bounds))
         strides = [1] * problem.dimension
         for j in range(problem.dimension - 2, -1, -1):
@@ -120,7 +135,7 @@ class CachedEvaluator:
                 if violation > 0.0:  # deb_key's infeasible key; it reads no fitness
                     k = self.keys[i] = (1, violation)
                     return k
-                ev = self.evals[i] = evaluate(self.problem, x)
+                ev = self.evals[i] = evaluate(self._feasible, x)
             k = self.keys[i] = deb_key(self.objective(ev.objectives_min), ev.violation)
         return k
 
@@ -151,7 +166,12 @@ def tabu_move(
     A move is either a random-coordinate diversification kick (when every
     variable's memory is older than n iterations) or a breadth-first scan of
     the +/-1 neighbors, keeping the best admissible one; if no neighbor
-    qualifies, the walk stays where it is and no tenure is stamped.
+    qualifies, the scan stalls: the walk stays where it is and no tenure is
+    stamped. The first scan at a point, after a landing or a kick, looks up
+    every neighbor's key and records the neighbors that beat the point; a
+    repeat scan after a stall tests only those. When there are none, every
+    scan up to the kick stalls, and the call skips them (up to the end of its
+    moves), drawing their uniforms and looking up no key.
 
     Each landing's key is read after its move, and a landing that beats the
     aspiration level (first ``star``'s key) becomes the new best index, as if
@@ -170,35 +190,61 @@ def tabu_move(
     strides, radix, axes = evaluator.strides, evaluator.radix, evaluator.axes
     star_key = keys[star] or key(star)
     last = max(t)  # stamps only grow, so the newest stamp is the largest
-    for k in range(k, k + moves):
+    end = k + moves
+    better = None  # (variable, neighbour, key) of each neighbour that beats i
+    while k < end:
         if k - last > n:
             c = int(draw() * n)
             s, r = strides[c], radix[c]
             t[c] = last = k
             i += (int(draw() * r) - i // s % r) * s
-        else:
+            better = None
+        elif better is None:  # the first scan at i looks up every neighbour
             best = i
-            best_key = keys[i] or key(i)
+            best_key = i_key = keys[i] or key(i)
             winner = -1
+            better = []
             for j, s, r in axes:
                 tenure = 1 + int(draw() * n)
                 c = i // s % r
                 if c > 0:
                     cand = i - s
                     cand_key = keys[cand] or key(cand)
-                    if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
-                        best, best_key, winner = cand, cand_key, j
+                    if cand_key < i_key:
+                        better.append((j, cand, cand_key))
+                        if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
+                            best, best_key, winner = cand, cand_key, j
                 if c < r - 1:
                     cand = i + s
                     cand_key = keys[cand] or key(cand)
-                    if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
-                        best, best_key, winner = cand, cand_key, j
+                    if cand_key < i_key:
+                        better.append((j, cand, cand_key))
+                        if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
+                            best, best_key, winner = cand, cand_key, j
             if winner >= 0:
                 t[winner] = last = k
-            i = best
+                i, better = best, None
+            elif not better:  # no neighbour beats i: every scan stalls until the kick
+                skipped = min(last + n, end - 1) - k  # the scans before the kick or the end
+                for _ in range(skipped * n):
+                    draw()
+                k += skipped
+        else:  # a repeat scan at i: only a neighbour that beats i can win
+            u = [draw() for _ in axes]
+            best, best_key, winner = i, i_key, -1
+            for j, cand, cand_key in better:
+                tenure = 1 + int(u[j] * n)
+                if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
+                    best, best_key, winner = cand, cand_key, j
+            if winner < 0:
+                k += 1
+                continue
+            t[winner] = last = k
+            i, better = best, None
         landed_key = keys[i] or key(i)
         if landed_key < star_key:
             star, star_key = i, landed_key
+        k += 1
     return i, star
 
 

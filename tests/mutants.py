@@ -51,6 +51,8 @@ MUTANTS = {
     "infeasible_key_flat": ("tabu.py", "k = self.keys[i] = (1, violation)",
                             "k = self.keys[i] = (1, 0.0)",
                             "an infeasible point is keyed (1, 0.0) whatever its violation"),
+    "stale_neighbours": ("tabu.py", "i, better = best, None", "i = best",
+                         "a winning move keeps the neighbours that beat the point it left"),
     "round_down": ("tabu.py", "base + 1 if draw() < frac else base",
                    "base if draw() < frac else base",
                    "stochastic rounding always floors, still drawing"),

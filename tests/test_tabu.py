@@ -1,5 +1,6 @@
 import operator
 import re
+from collections import Counter, defaultdict
 from unittest import mock
 
 import numpy as np
@@ -371,14 +372,21 @@ class TestMultiMoveKernel:
         box=boxes(),
         moves=st.integers(1, 60),
         seed=st.integers(0, 2**32 - 1),
+        at_least=st.booleans(),
     )
-    @example(box=([-3], [5], [0], 9), moves=40, seed=1)
-    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), moves=60, seed=2)
-    def test_one_call_equals_single_moves(self, box, moves, seed):
+    @example(box=([-3], [5], [0], 9), moves=40, seed=1, at_least=False)
+    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), moves=60, seed=2, at_least=False)
+    # from the minimum of a bowl, where every scan stalls until the kick
+    @example(box=([-3] * 3, [6] * 3, [0] * 3, 15), moves=7, seed=3, at_least=True)
+    @example(box=([-3] * 3, [6] * 3, [0] * 3, 15), moves=30, seed=4, at_least=True)
+    def test_one_call_equals_single_moves(self, box, moves, seed, at_least):
         problem = box_problem(*box)
         n = problem.dimension
         rng = np.random.default_rng(seed)
         start, star = (int(v) for v in rng.integers(0, problem.lattice_size(), 2))
+        if at_least:  # start on the first point of least key, which no neighbour beats
+            oracle = CachedEvaluator(problem, OBJ1)
+            start = star = min(range(problem.lattice_size()), key=oracle.key)
         k = int(rng.integers(1, 40))
         stamps = [int(v) for v in rng.integers(-n, k, n)]  # older than move k
         uniforms = rng.random(moves * max(n, 2)).tolist()
@@ -400,6 +408,122 @@ class TestMultiMoveKernel:
         assert t == single_t
         assert operator.length_hint(draws) == operator.length_hint(single_draws)
         assert set(evaluator.evals) == set(single.evals)
+
+
+def _reference_walk(x, x_star, k, t, moves, rng, evaluator):
+    """``moves`` reference moves from any walk state, keeping the best point."""
+    for step in range(k, k + moves):
+        x = _reference_tabu_move(x, x_star, step, t, evaluator, rng)
+        if evaluator.key(x) < evaluator.key(x_star):
+            x_star = x
+    return x, x_star
+
+
+def bowl():
+    """A convex quadratic on [-3, 3]^3 with its minimum at the origin, where
+    every neighbour is worse, under a cap that every point meets."""
+    return box_problem([-3] * 3, [6] * 3, [0] * 3, 100)
+
+
+class CountingKeys(defaultdict):
+    """A key store that counts every read of a key."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+class TestStandingWalk:
+    """A scan that finds no admissible neighbour leaves the walk where it
+    stands. The scans that follow at that point test only the neighbours that
+    beat it, and a point that no neighbour beats skips its scans up to the
+    kick; the walk is the reference's all the same."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        box=boxes(),
+        iterations=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 2, 7, de.BLOCK]),
+    )
+    # a 1-variable minimum at 0: kicks land back on it or descend to it
+    @example(box=([-3], [5], [0], 9), iterations=40, seed=1, block=2)
+    # the least point of a capped 3-variable box, a refill every 7 uniforms
+    @example(box=([2, -4, 1], [3, 4, 2], [4, 0, 2], 3), iterations=97, seed=2, block=7)
+    def test_search_from_the_least_point_matches_reference(self, box, iterations, seed, block):
+        problem = box_problem(*box)
+        oracle = CachedEvaluator(problem, OBJ1)
+        x0 = oracle.point(min(range(problem.lattice_size()), key=oracle.key))
+        kernel, reference = CachedEvaluator(problem, OBJ1), _ReferenceEvaluator(problem, OBJ1)
+        kernel_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(de, "BLOCK", block):
+            draw, settle = de.block_draws(kernel_rng)
+        try:
+            best = tabu_search(x0, iterations, kernel, draw)
+        finally:
+            settle()
+        assert kernel.point(best) == _reference_tabu_search(x0, iterations, reference_rng,
+                                                            reference)
+        assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert {kernel.point(i) for i in kernel.keys} == set(reference._keys)
+
+    # stamped at move 0, the memory of 3 variables goes stale at move 4, the kick:
+    # 2 moves end inside the skip over scans 2 and 3, 3 end at it, 4 and more kick
+    @pytest.mark.parametrize("moves", [1, 2, 3, 4, 5, 9, 40], ids="moves{}".format)
+    @pytest.mark.parametrize("block", [1, 2, 7, de.BLOCK], ids="block{}".format)
+    def test_walk_from_a_local_minimum_matches_reference(self, moves, block):
+        problem = bowl()
+        kernel, reference = CachedEvaluator(problem, OBJ1), _ReferenceEvaluator(problem, OBJ1)
+        kernel_rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        origin = kernel.index((0, 0, 0))
+        t, reference_t = [0, 0, 0], [0, 0, 0]
+        with mock.patch.object(de, "BLOCK", block):
+            draw, settle = de.block_draws(kernel_rng)
+        try:
+            last, best = tabu_move(origin, origin, 1, t, kernel, draw, moves)
+        finally:
+            settle()
+        expected = _reference_walk((0, 0, 0), (0, 0, 0), 1, reference_t, moves,
+                                   reference_rng, reference)
+        assert (kernel.point(last), kernel.point(best)) == expected
+        assert t == reference_t
+        assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert {kernel.point(i) for i in kernel.keys} == set(reference._keys)
+
+    @pytest.mark.parametrize("moves", [1, 2, 3])
+    def test_repeat_scans_and_skipped_scans_read_no_key(self, moves):
+        # no neighbour beats the minimum (2, 0); (1, 0) beats (0, 0), but its
+        # variable was moved at move 5 and it does not beat the best point
+        # (2, 0), so with every tenure drawn as 2 the scans at moves 5, 6 and 7
+        # all stall, and only the first reads keys
+        draws = []
+
+        def draw():
+            draws.append(0.99)
+            return 0.99
+
+        for start, best in [((2, 0), (2, 0)), ((0, 0), (2, 0))]:
+            evaluator = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
+            every = range(evaluator.problem.lattice_size())  # keyed first: no read misses
+            evaluator.keys = CountingKeys(type(None), {j: evaluator.key(j) for j in every})
+            i, star = evaluator.index(start), evaluator.index(best)
+            draws.clear()
+            assert tabu_move(i, star, 5, [5, 5], evaluator, draw, moves) == (i, star)
+            assert len(draws) == 2 * moves  # one tenure per variable per scan
+            # the best point, the point, its four neighbours and the landing
+            assert evaluator.keys.lookups == 7
+
+    def test_winning_moves_step_to_neighbours_down_a_bowl(self):
+        # every better neighbour beats the best point, so the walk descends one
+        # step a move, whatever the tenures, and reaches the origin in 9 moves
+        evaluator = CachedEvaluator(bowl(), OBJ1)
+        start = evaluator.index((-3, 3, 3))
+        for moves in range(1, 10):
+            last, best = tabu_move(start, start, 1, [0, 0, 0], evaluator, lambda: 0.0, moves)
+            assert last == best
+            assert sum(map(abs, evaluator.point(last))) == 9 - moves
 
 
 class TestKeyStore:
@@ -466,6 +590,24 @@ class TestConstraintFirstKeys:
         feasible = {evaluator.point(i) for i, k in evaluator.keys.items() if k[0] == 0}
         assert len(feasible) < len(evaluator.keys)
         assert sorted(calls) == sorted(feasible)
+
+    def test_constraints_called_once_per_keyed_point(self):
+        # the cap of 10 on the sum leaves feasible and infeasible points in the box
+        calls = []
+
+        def cap(x):
+            calls.append(tuple(x))
+            return float(sum(x) - 10)
+
+        problem = Problem(dimension=3, objectives=((lambda x: float(x[0] - x[1]), "min"),),
+                          constraints=(cap, lambda x: float(x[2] - 8)),
+                          lower_bounds=(0, 0, 0), upper_bounds=(9, 9, 9))
+        evaluator = CachedEvaluator(problem, OBJ1)
+        tabu_search((9, 9, 9), 400, evaluator, np.random.default_rng(3).random)
+        assert evaluator.evals and len(evaluator.evals) < len(evaluator.keys)
+        assert Counter(calls) == Counter(evaluator.point(i) for i in evaluator.keys)
+        for i, ev in evaluator.evals.items():
+            assert ev == evaluate(problem, evaluator.point(i))
 
     @pytest.mark.parametrize("point, key", [
         pytest.param((3, 3), (1, 2.0), id="over-the-first-cap-by-2"),
