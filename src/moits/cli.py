@@ -70,6 +70,13 @@ def load_config(path: str | None, **overrides) -> pipeline.HybridConfig:
     return pipeline.HybridConfig(de=DEConfig(**de_kwargs), **hybrid_kwargs)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value; numpy seeds its generators with non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moits",
@@ -82,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", required=True, choices=BENCHMARK_NAMES)
         # None lets --config, then DEConfig's default, choose the variant
         p.add_argument("--variant", default=None, choices=VARIANTS)
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--seed", type=_seed, default=1)
         p.add_argument("--config", default=None, help="JSON file overriding defaults")
         p.add_argument("--oracle-anchors", action="store_true")
 

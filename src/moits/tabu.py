@@ -37,13 +37,13 @@ move picks. A search reports it as a flat index, so a caller reads its cached
 evaluation and decodes only the points it keeps.
 
 Most scans of a long walk stall: no neighbour is admissible, and the walk
-stands where it is. Keys never change, so the first scan at a point records
-the neighbours whose keys beat the point's, and each further scan there
-draws its tenures and tests only those, with no key lookup. A point that no
-neighbour beats stalls at every scan until the kick, so the walk skips to the
-kick (or to the end of the move budget), drawing the skipped scans' uniforms.
-The walk, its draws and its key store are those of a walk that scans every
-neighbour at every move.
+stands where it is. Only a neighbour that beats the point can win, and keys
+never change, so the first scan at a point records those neighbours; one loop
+over them picks the winner of every scan there, and a repeat scan draws its
+tenures and looks up no key. A point that no neighbour beats stalls at every
+scan until the kick, so the walk skips to it (or to the end of the move
+budget), drawing the skipped scans' uniforms. The walk, its draws and its key
+store are those of a walk that scans every neighbour at every move.
 
 Random draws: rounding and the walk take a ``draw`` callable returning one
 uniform in [0, 1), the solve's one stream (see :mod:`moits.de`) or
@@ -167,17 +167,17 @@ def tabu_move(
     variable's memory is older than n iterations) or a breadth-first scan of
     the +/-1 neighbors, keeping the best admissible one; if no neighbor
     qualifies, the scan stalls: the walk stays where it is and no tenure is
-    stamped. The first scan at a point, after a landing or a kick, looks up
-    every neighbor's key and records the neighbors that beat the point; a
-    repeat scan after a stall tests only those. When there are none, every
-    scan up to the kick stalls, and the call skips them (up to the end of its
-    moves), drawing their uniforms and looking up no key.
+    stamped. The first scan at a point looks up every neighbor's key and
+    records the neighbors that beat the point; one loop over them picks the
+    winner of that scan and of each repeat scan after a stall. When there are
+    none, every scan up to the kick stalls, and the call skips them (up to
+    the end of its moves), drawing their uniforms and looking up no key.
 
-    Each landing's key is read after its move, and a landing that beats the
-    aspiration level (first ``star``'s key) becomes the new best index, as if
-    it were passed as ``star`` to the next move. ``draw()`` returns the
-    next uniform in [0, 1): two per kick, then one per variable per scan
-    (``rng.random`` itself will do).
+    A point's key is read at its first scan (the last landing's after the
+    moves), and a point that beats the aspiration level (first ``star``'s
+    key) becomes the new best index, as if it were passed as ``star`` to the
+    next move. ``draw()`` returns the next uniform in [0, 1): two per kick,
+    then one per variable per scan (``rng.random`` itself will do).
 
     ``t`` is the tabu memory, one entry per variable: the number of the last
     move along that variable (a scan's winning variable or a kick's
@@ -199,52 +199,43 @@ def tabu_move(
             t[c] = last = k
             i += (int(draw() * r) - i // s % r) * s
             better = None
-        elif better is None:  # the first scan at i looks up every neighbour
-            best = i
-            best_key = i_key = keys[i] or key(i)
-            winner = -1
-            better = []
-            for j, s, r in axes:
-                tenure = 1 + int(draw() * n)
-                c = i // s % r
-                if c > 0:
-                    cand = i - s
-                    cand_key = keys[cand] or key(cand)
-                    if cand_key < i_key:
-                        better.append((j, cand, cand_key))
-                        if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
-                            best, best_key, winner = cand, cand_key, j
-                if c < r - 1:
-                    cand = i + s
-                    cand_key = keys[cand] or key(cand)
-                    if cand_key < i_key:
-                        better.append((j, cand, cand_key))
-                        if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
-                            best, best_key, winner = cand, cand_key, j
-            if winner >= 0:
-                t[winner] = last = k
-                i, better = best, None
-            elif not better:  # no neighbour beats i: every scan stalls until the kick
-                skipped = min(last + n, end - 1) - k  # the scans before the kick or the end
-                for _ in range(skipped * n):
-                    draw()
-                k += skipped
-        else:  # a repeat scan at i: only a neighbour that beats i can win
-            u = [draw() for _ in axes]
-            best, best_key, winner = i, i_key, -1
+        else:
+            if better is None:  # the first scan at i looks up every neighbour
+                i_key = keys[i] or key(i)
+                if i_key < star_key:  # i is the call's start or a landing
+                    star, star_key = i, i_key
+                u, better = [], []
+                for j, s, r in axes:
+                    u.append(draw())
+                    c = i // s % r
+                    if c > 0:
+                        cand = i - s
+                        cand_key = keys[cand] or key(cand)
+                        if cand_key < i_key:
+                            better.append((j, cand, cand_key))
+                    if c < r - 1:
+                        cand = i + s
+                        cand_key = keys[cand] or key(cand)
+                        if cand_key < i_key:
+                            better.append((j, cand, cand_key))
+                if not better:  # no neighbour beats i: every scan stalls until the kick
+                    skipped = min(last + n, end - 1) - k  # the scans before the kick or the end
+                    for _ in range(skipped * n):
+                        draw()
+                    k += skipped
+            else:  # a repeat scan at i draws its tenures and tests the same neighbours
+                u = [draw() for _ in axes]
+            best_key, winner = i_key, -1
             for j, cand, cand_key in better:
                 tenure = 1 + int(u[j] * n)
                 if cand_key < best_key and (k - t[j] > tenure or cand_key < star_key):
                     best, best_key, winner = cand, cand_key, j
-            if winner < 0:
-                k += 1
-                continue
-            t[winner] = last = k
-            i, better = best, None
-        landed_key = keys[i] or key(i)
-        if landed_key < star_key:
-            star, star_key = i, landed_key
+            if winner >= 0:
+                t[winner] = last = k
+                i, better = best, None
         k += 1
+    if better is None and (keys[i] or key(i)) < star_key:  # the last move landed
+        star = i
     return i, star
 
 

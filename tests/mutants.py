@@ -7,8 +7,8 @@ prints the tests that fail. The whole checkout is copied, not ``src/`` alone,
 because ``perfbench/test_perfbench.py`` puts its own checkout's ``src/`` first
 on ``sys.path``. No file of the checkout changes. Each mutant costs a full
 Tier-1 run, one to two minutes on two CPUs, so the result is reported, not
-gated; CI runs ``mu_no_clip`` and ``topsis_benefit_as_cost`` and fails
-unless some test fails under each.
+gated; CI runs ``mu_no_clip``, ``topsis_benefit_as_cost``, ``no_aspiration``
+and ``stale_neighbours`` and fails unless some test fails under each.
 
     python tests/mutants.py                       # every mutant
     python tests/mutants.py no_kick elect_worst   # the named ones
@@ -28,7 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # name: (file under src/moits, text, replacement, what the edit breaks);
-# the replacement is made at every occurrence of the text
+# the text occurs exactly once in its file, so a formula written twice cannot
+# hide a copy that the edit leaves intact
 MUTANTS = {
     "elect_worst": ("de.py", "cost_closeness(pairs[idx]).argmax(axis=-1)",
                     "cost_closeness(pairs[idx]).argmin(axis=-1)",
@@ -82,8 +83,9 @@ def mutate(src: Path, name: str) -> None:
     file, text, replacement, _ = MUTANTS[name]
     path = src / "moits" / file
     code = path.read_text(encoding="utf-8")
-    if text not in code:
-        raise SystemExit(f"mutant {name}: {text!r} is not in {file}")
+    count = code.count(text)
+    if count != 1:
+        raise SystemExit(f"mutant {name}: {text!r} occurs {count} times in {file}, not once")
     path.write_text(code.replace(text, replacement), encoding="utf-8")
 
 

@@ -87,19 +87,19 @@ class TestCriterion1Oracles:
 def p1_reports():
     spec = benchmark("p1")
     return {
-        variant: run_experiment(spec, variant, DEFAULTS, MASTER_SEED, workers=1)
+        variant: run_experiment(spec, variant, DEFAULTS, MASTER_SEED)
         for variant in VARIANTS
     }
 
 
 @pytest.fixture(scope="module")
 def p2_rand1_report():
-    return run_experiment(benchmark("p2"), "rand1", DEFAULTS, MASTER_SEED, workers=1)
+    return run_experiment(benchmark("p2"), "rand1", DEFAULTS, MASTER_SEED)
 
 
 @pytest.fixture(scope="module")
 def p3_degl_report():
-    return run_experiment(benchmark("p3"), "degl", DEFAULTS, MASTER_SEED, workers=1)
+    return run_experiment(benchmark("p3"), "degl", DEFAULTS, MASTER_SEED)
 
 
 class TestCriterion2SuccessRates:

@@ -110,6 +110,13 @@ class TestUsageErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_negative_seed_exits_2_naming_the_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--problem", "p3", "--seed", "-1"])
+        assert err.value.code == 2
+        assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+
     def test_canonical_best_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--problem", "p3", "--canonical-best"])

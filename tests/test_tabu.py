@@ -497,23 +497,26 @@ class TestStandingWalk:
         # no neighbour beats the minimum (2, 0); (1, 0) beats (0, 0), but its
         # variable was moved at move 5 and it does not beat the best point
         # (2, 0), so with every tenure drawn as 2 the scans at moves 5, 6 and 7
-        # all stall, and only the first reads keys
+        # all stall, and only the first reads keys; a start on the minimum
+        # beats a best point (0, 0) passed in, so it becomes the best
         draws = []
 
         def draw():
             draws.append(0.99)
             return 0.99
 
-        for start, best in [((2, 0), (2, 0)), ((0, 0), (2, 0))]:
+        for start, best, expected in [((2, 0), (2, 0), (2, 0)), ((0, 0), (2, 0), (2, 0)),
+                                      ((2, 0), (0, 0), (2, 0))]:
             evaluator = CachedEvaluator(quad_problem(center=(2, 0)), OBJ1)
             every = range(evaluator.problem.lattice_size())  # keyed first: no read misses
             evaluator.keys = CountingKeys(type(None), {j: evaluator.key(j) for j in every})
             i, star = evaluator.index(start), evaluator.index(best)
             draws.clear()
-            assert tabu_move(i, star, 5, [5, 5], evaluator, draw, moves) == (i, star)
+            assert tabu_move(i, star, 5, [5, 5], evaluator, draw, moves) == (
+                i, evaluator.index(expected))
             assert len(draws) == 2 * moves  # one tenure per variable per scan
-            # the best point, the point, its four neighbours and the landing
-            assert evaluator.keys.lookups == 7
+            # the best point, the point and its four neighbours
+            assert evaluator.keys.lookups == 6
 
     def test_winning_moves_step_to_neighbours_down_a_bowl(self):
         # every better neighbour beats the best point, so the walk descends one
