@@ -165,7 +165,10 @@ def _cmd_solve(args) -> int:
         rows.append({"solution": list(solution), "objectives": raw})
     cells = [[harness.format_solution(row["solution"]), ";".join(map(repr, row["objectives"]))]
              for row in rows]
-    _emit(args, {"problem": spec.problem.name, "solutions": rows},
+    # the anchors are in the minimization sense of the violation-augmented problem
+    anchors = {**dataclasses.asdict(archive.anchors),
+               "active": archive.anchors.active, "dropped": archive.anchors.dropped}
+    _emit(args, {"problem": spec.problem.name, "solutions": rows, "anchors": anchors},
           harness.csv_text(["solution", "objectives"], cells))
     return 0
 

@@ -3,8 +3,10 @@
 Stage 1 finds, per objective, its best (ideal) and worst (anti-ideal) values
 over the feasible region. Stage 2 turns these into two normalized distance
 functions, to the ideal and to the anti-ideal, and locates their extreme
-points. Stage 3 maximizes the minimum of two membership functions of those
-distances (the fuzzy max-min compromise). Both are one clipped linear ramp,
+points. The distances weigh uniformly every objective whose ideal and
+anti-ideal differ; ``CompromiseAnchors`` derives that set from the two.
+Stage 3 maximizes the minimum of two membership functions of those distances
+(the fuzzy max-min compromise). Both are one clipped linear ramp,
 falling with the distance to the ideal and rising with the distance to the
 anti-ideal. Stage 3 alternates the evolution engine with tabu-search
 refinement of every population member, archiving each feasible integer point
@@ -38,7 +40,6 @@ __all__ = [
     "augment_with_violation",
     "stage1_anchors",
     "oracle_anchor_values",
-    "build_anchor_frame",
     "d_pis",
     "d_nis",
     "stage2_anchors",
@@ -68,18 +69,18 @@ class HybridConfig:
 
 @dataclass(frozen=True)
 class CompromiseAnchors:
-    """Per-objective ideal/anti-ideal values plus the distance anchors of stage 2.
+    """The ideal (``f_star``) and anti-ideal (``f_minus``) values of stage 1
+    plus the distance anchors of stage 2: the whole record of a run's anchors.
 
-    ``active`` lists the objective indices kept in the distance sums; an
-    objective whose ideal equals its anti-ideal carries no information and is
-    dropped (recorded in ``dropped``) with the uniform weights renormalized.
+    The rest is derived from ``f_star`` and ``f_minus`` on construction and is
+    not a field. ``dropped`` lists the degenerate objectives, whose ideal
+    equals the anti-ideal within the relative ``DEGENERACY_TOL``: they carry no
+    information. ``active`` lists the others, which the distance sums weigh
+    uniformly, ``1 / len(active)`` each.
     """
 
     f_star: tuple[float, ...]
     f_minus: tuple[float, ...]
-    active: tuple[int, ...]
-    weights: tuple[float, ...]
-    dropped: tuple[int, ...] = ()
     d_pis_star: float = math.nan
     d_nis_star: float = math.nan
     d_pis_prime: float = math.nan
@@ -88,13 +89,20 @@ class CompromiseAnchors:
     x_n: tuple[float, ...] = ()
 
     def __post_init__(self):
-        # coefficient (w_j / (f_j^- - f_j^*))^2 per retained objective; a
-        # cache, not a field, so it is neither compared, printed nor passed in
-        coefs = []
-        for w, j in zip(self.weights, self.active):
-            span = self.f_minus[j] - self.f_star[j]
-            coefs.append((j, (w / span) ** 2))
-        object.__setattr__(self, "_coefs", tuple(coefs))
+        if len(self.f_star) != len(self.f_minus):
+            raise ValueError(f"f_star has {len(self.f_star)} values, f_minus {len(self.f_minus)}")
+        active, dropped = [], []
+        for j, (lo, hi) in enumerate(zip(self.f_star, self.f_minus)):
+            tol = DEGENERACY_TOL * max(1.0, abs(lo), abs(hi))
+            (active if hi - lo > tol else dropped).append(j)
+        # coefficient (w / (f_j^- - f_j^*))^2 per active objective; these are
+        # attributes, not fields, so they are neither compared, printed nor
+        # passed in, and ``replace`` derives them again
+        w = 1.0 / len(active) if active else 0.0
+        coefs = tuple((j, (w / (self.f_minus[j] - self.f_star[j])) ** 2) for j in active)
+        object.__setattr__(self, "active", tuple(active))
+        object.__setattr__(self, "dropped", tuple(dropped))
+        object.__setattr__(self, "_coefs", coefs)
 
 
 def augment_with_violation(problem: Problem) -> Problem:
@@ -155,22 +163,6 @@ def oracle_anchor_values(problem_k: Problem):
     k = problem_k.n_objectives
     columns = [[ev.objectives_min[j] for _, ev in points] for j in range(k)]
     return tuple(min(col) for col in columns), tuple(max(col) for col in columns)
-
-
-def build_anchor_frame(f_star, f_minus) -> CompromiseAnchors:
-    """Partial anchors: drop degenerate objectives, renormalize uniform weights."""
-    active, dropped = [], []
-    for j, (lo, hi) in enumerate(zip(f_star, f_minus)):
-        tol = DEGENERACY_TOL * max(1.0, abs(lo), abs(hi))
-        (active if hi - lo > tol else dropped).append(j)
-    weights = tuple([1.0 / len(active)] * len(active)) if active else ()
-    return CompromiseAnchors(
-        f_star=tuple(f_star),
-        f_minus=tuple(f_minus),
-        active=tuple(active),
-        weights=weights,
-        dropped=tuple(dropped),
-    )
 
 
 def _distance(values, reference, anchors: CompromiseAnchors) -> float:
@@ -339,8 +331,7 @@ def compute_anchors(problem: Problem, config: HybridConfig, draw):
         f_star, f_minus = oracle_anchor_values(problem_k)
     else:
         f_star, f_minus = stage1_anchors(problem_k, config, draw)
-    frame = build_anchor_frame(f_star, f_minus)
-    return problem_k, stage2_anchors(problem_k, frame, config, draw)
+    return problem_k, stage2_anchors(problem_k, CompromiseAnchors(f_star, f_minus), config, draw)
 
 
 def solve(problem: Problem, config: HybridConfig, rng) -> SolutionArchive:

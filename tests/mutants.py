@@ -7,8 +7,9 @@ prints the tests that fail. The whole checkout is copied, not ``src/`` alone,
 because ``perfbench/test_perfbench.py`` puts its own checkout's ``src/`` first
 on ``sys.path``. No file of the checkout changes. Each mutant costs a full
 Tier-1 run, one to two minutes on two CPUs, so the result is reported, not
-gated; CI runs ``mu_no_clip``, ``topsis_benefit_as_cost``, ``no_aspiration``
-and ``stale_neighbours`` and fails unless some test fails under each.
+gated; CI runs ``mu_no_clip``, ``topsis_benefit_as_cost``, ``no_aspiration``,
+``stale_neighbours`` and ``keep_dropped`` and fails unless some test fails
+under each.
 
     python tests/mutants.py                       # every mutant
     python tests/mutants.py no_kick elect_worst   # the named ones

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 import moits
 from moits import harness, pipeline, topsis
 from moits.cli import load_config, main
-from moits.pipeline import HybridConfig
+from moits.pipeline import CompromiseAnchors, HybridConfig
 
 FAST = {
     "population_size": 20,
@@ -187,6 +188,22 @@ class TestSolve:
         by_solution = {tuple(row["solution"]): row["objectives"] for row in data["solutions"]}
         # both objectives are maximized, so the emitted values equal the point
         assert by_solution[(9, 5)] == [9.0, 5.0]
+
+    def test_json_output_carries_the_anchors(self, fast_config, tmp_path):
+        out = tmp_path / "solutions.json"
+        argv = ["solve", "--problem", "p3", "--seed", "3", "--format", "json",
+                "--config", fast_config, "--out", str(out)]
+        assert main(argv) == 0
+        anchors = json.loads(out.read_text())["anchors"]
+        assert set(anchors) == {f.name for f in dataclasses.fields(CompromiseAnchors)} | {
+            "active", "dropped"}
+        # p3 augmented is (-f1, -f2, G); G's ideal and anti-ideal are 0 once a
+        # feasible point is found, so its column is the one dropped
+        assert anchors["active"] == [0, 1]
+        assert anchors["dropped"] == [2]
+        assert anchors["f_star"][2] == anchors["f_minus"][2] == 0.0
+        assert anchors["d_pis_star"] <= anchors["d_pis_prime"]
+        assert len(anchors["x_p"]) == len(anchors["x_n"]) == 2
 
 
 class TestExperiment:

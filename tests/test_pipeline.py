@@ -17,7 +17,6 @@ from moits.pipeline import (
     SolutionArchive,
     _membership,
     augment_with_violation,
-    build_anchor_frame,
     compute_anchors,
     d_nis,
     d_pis,
@@ -124,36 +123,61 @@ class TestAugment:
 
 class TestAnchorFrame:
     def test_degenerate_objective_dropped(self):
-        frame = build_anchor_frame(f_star=(0.0, 1.0, 5.0), f_minus=(10.0, 1.0, 8.0))
+        frame = CompromiseAnchors(f_star=(0.0, 1.0, 5.0), f_minus=(10.0, 1.0, 8.0))
         assert frame.active == (0, 2)
         assert frame.dropped == (1,)
-        assert frame.weights == (0.5, 0.5)
+        # weight 1/2 on each active column: (0.5/10)^2 and (0.5/3)^2
+        assert frame._coefs == ((0, (0.5 / 10.0) ** 2), (2, (0.5 / 3.0) ** 2))
 
     def test_near_degenerate_relative_tolerance(self):
-        frame = build_anchor_frame(f_star=(1e9,), f_minus=(1e9 + 1e-3,))
+        frame = CompromiseAnchors(f_star=(1e9,), f_minus=(1e9 + 1e-3,))
         assert frame.dropped == (0,)
 
     def test_all_active_uniform_weights(self):
-        frame = build_anchor_frame((0.0, 0.0), (1.0, 2.0))
+        frame = CompromiseAnchors((0.0, 0.0), (1.0, 2.0))
         assert frame.active == (0, 1)
-        assert frame.weights == (0.5, 0.5)
+        # a full span on either column alone is worth its weight 1/2
+        assert d_pis((1.0, 0.0), frame) == d_pis((0.0, 2.0), frame) == 0.5
 
     def test_all_degenerate(self):
-        frame = build_anchor_frame((3.0,), (3.0,))
-        assert frame.active == () and frame.weights == ()
+        frame = CompromiseAnchors((3.0,), (3.0,))
+        assert frame.active == () and frame.dropped == (0,)
+        for values in [(3.0,), (-7.5,), (1e9,)]:
+            assert d_pis(values, frame) == d_nis(values, frame) == 0.0
 
     def test_fields_are_the_anchors(self):
-        frame = build_anchor_frame((0.0, 1.0), (2.0, 1.0))
-        assert "_coefs" not in {f.name for f in fields(frame)}
+        frame = CompromiseAnchors((0.0, 1.0), (2.0, 1.0))
+        assert [f.name for f in fields(frame)] == [
+            "f_star", "f_minus", "d_pis_star", "d_nis_star", "d_pis_prime", "d_nis_prime",
+            "x_p", "x_n",
+        ]
         with pytest.raises(TypeError):
-            CompromiseAnchors(f_star=(0.0,), f_minus=(1.0,), active=(0,), weights=(1.0,),
-                              _coefs=())
+            CompromiseAnchors(f_star=(0.0,), f_minus=(1.0,), _coefs=())
         # the distance coefficients are not a field, yet survive a pickle
         assert d_pis((1.0, 5.0), pickle.loads(pickle.dumps(frame))) == 0.5
 
+    @pytest.mark.parametrize("derived", [
+        {"active": (0,)}, {"dropped": ()}, {"weights": (1.0,)},
+        {"active": (0, 1), "weights": (0.9, 0.1), "dropped": ()},
+    ])
+    def test_derived_values_are_not_passed_in(self, derived):
+        with pytest.raises(TypeError):
+            CompromiseAnchors(f_star=(0.0, 0.0), f_minus=(1.0, 1.0), **derived)
+
+    def test_replace_keeps_the_derived_values(self):
+        frame = CompromiseAnchors((0.0, 1.0, 5.0), (10.0, 1.0, 8.0))
+        again = replace(frame, d_pis_star=0.25, x_p=(1.0, 2.0))
+        assert again.d_pis_star == 0.25
+        assert (again.active, again.dropped, again._coefs) == (
+            frame.active, frame.dropped, frame._coefs)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="f_star has 2 values, f_minus 1"):
+            CompromiseAnchors((0.0, 1.0), (1.0,))
+
 
 class TestDistances:
-    FRAME = build_anchor_frame((0.0, 0.0), (2.0, 4.0))
+    FRAME = CompromiseAnchors((0.0, 0.0), (2.0, 4.0))
 
     def test_zero_at_ideal(self):
         assert d_pis((0.0, 0.0), self.FRAME) == 0.0
@@ -171,7 +195,7 @@ class TestDistances:
         assert abs(d_pis((2.0, 4.0), self.FRAME) - math.sqrt(0.5)) < 1e-15
 
     def test_dropped_objective_ignored(self):
-        frame = build_anchor_frame((0.0, 7.0), (2.0, 7.0))
+        frame = CompromiseAnchors((0.0, 7.0), (2.0, 7.0))
         assert frame.dropped == (1,)
         assert d_pis((2.0, 1234.5), frame) == 1.0  # weight 1 on the lone column
 
@@ -180,8 +204,6 @@ def membership_anchors(**overrides):
     base = dict(
         f_star=(0.0,),
         f_minus=(1.0,),
-        active=(0,),
-        weights=(1.0,),
         d_pis_star=0.2,
         d_pis_prime=0.8,
         d_nis_star=0.9,
@@ -458,7 +480,10 @@ class TestComputeAnchors:
         assert problem_k.n_objectives == 4
         assert 3 in anchors.dropped
         assert anchors.active == (0, 1, 2)
-        assert anchors.weights == (1 / 3, 1 / 3, 1 / 3)
+        # the anti-ideal is a full span on each of the three active columns
+        # at weight 1/3, whatever G reads
+        worst = anchors.f_minus[:3] + (1234.5,)
+        assert abs(d_pis(worst, anchors) - math.sqrt(3 * (1 / 3) ** 2)) < 1e-15
 
     def test_distance_extremes_ordered(self):
         problem = benchmark("p3").problem
