@@ -17,6 +17,19 @@ are unchanged and the election would return the same indices. An election
 builds one (fitness, violation) array, and the global and ring elections
 both index it. Each slot keeps its ``deb_key``, so a trial computes one key.
 
+A trial equal to its target is skipped: no evaluation, fitness or key. It
+would get the target's key, and only a strictly smaller key replaces a member,
+so it cannot win; it has already drawn every uniform of its step. Such trials
+come from a population collapsed onto a box corner, which :func:`clamp`
+reproduces exactly. The skip is exact under two assumptions. Objectives and
+constraints are pure functions of the point, as the tabu cache also assumes,
+and a population passed in as ``initial`` was evaluated on the same problem.
+And ``==`` treats 0.0 and -0.0 as equal, which is exact because no
+coordinate holds -0.0: the bounds are integers, so ``lo + u * width`` is not
+-0.0, and each donor coordinate is a sum that starts from a coordinate (in
+DEGL, from ``r > 0`` times such a sum, short of an underflow), which IEEE
+addition makes -0.0 only if every term is -0.0.
+
 A member's coordinates ``Individual.x`` are a tuple of Python floats, and
 the primitives take float sequences and return new float lists: for the
 handful of variables of a member, numpy's per-call overhead costs more than
@@ -250,11 +263,15 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
     """Evolve for ``max_iterations`` generations and return the final population.
 
     Population slots are updated in place within a generation (later mutations
-    see earlier replacements); the run is deterministic given the draws.
+    see earlier replacements); the run is deterministic given the draws. A
+    trial equal to its target is not evaluated, since it cannot replace it
+    (module docstring): a run evaluates its fresh population and the trials
+    that differ from their targets, with the same draws and results as if it
+    evaluated every trial, for pure objectives and constraints.
     """
     pop = list(initial) if initial is not None else init_population(problem, config, draw)
     np_size = len(pop)
-    xs = [ind.x for ind in pop]
+    xs = [list(ind.x) for ind in pop]  # lists, as trials are: a tuple never == a list
     evals = [ind.eval for ind in pop]
     fit = [objective(ev.objectives_min) for ev in evals]
     vio = [ev.violation for ev in evals]
@@ -288,6 +305,8 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
                     neigh_lists[i], local_bests[i], gbest, draw,
                 )
             trial = clamp(crossover(xs[i], donor, Cr, draw), lo, up)
+            if trial == xs[i]:  # its key would equal the target's: it cannot win
+                continue
             ev = evaluate(problem, trial)
             f_trial = objective(ev.objectives_min)
             key = deb_key(f_trial, ev.violation)

@@ -8,8 +8,8 @@ because ``perfbench/test_perfbench.py`` puts its own checkout's ``src/`` first
 on ``sys.path``. No file of the checkout changes. Each mutant costs a full
 Tier-1 run, one to two minutes on two CPUs, so the result is reported, not
 gated; CI runs ``mu_no_clip``, ``topsis_benefit_as_cost``, ``no_aspiration``,
-``stale_neighbours`` and ``keep_dropped`` and fails unless some test fails
-under each.
+``stale_neighbours``, ``keep_dropped``, ``select_le`` and ``skip_first_equal``
+and fails unless some test fails under each.
 
     python tests/mutants.py                       # every mutant
     python tests/mutants.py no_kick elect_worst   # the named ones
@@ -36,7 +36,9 @@ MUTANTS = {
                     "cost_closeness(pairs[idx]).argmin(axis=-1)",
                     "TOPSIS elections pick the least close member"),
     "select_le": ("de.py", "if key < keys[i]:", "if key <= keys[i]:",
-                  "DE selection also replaces a member by an equal trial"),
+                  "DE selection also replaces a member by a trial of equal key"),
+    "skip_first_equal": ("de.py", "if trial == xs[i]:", "if trial[0] == xs[i][0]:",
+                         "DE skips every trial whose first coordinate equals its target's"),
     "degl_r_half": ("de.py", "return iteration / max_iterations", "return 0.5",
                     "the DEGL weight stays at 0.5"),
     "no_aspiration": ("tabu.py", "(k - t[j] > tenure or cand_key < star_key)",

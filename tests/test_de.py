@@ -336,6 +336,18 @@ class TestRun:
         steps = cfg.population_size * cfg.max_iterations
         assert calls == {f"mutate_{variant}": steps, "crossover": steps, "clamp": steps}
 
+    @pytest.mark.parametrize("variant", ["rand1", "best", "degl"])
+    def test_constant_fitness_keeps_every_feasible_member(self, variant):
+        # every feasible trial ties its feasible target, and a tie keeps the target
+        problem = benchmark("p2").problem
+        cfg = DEConfig(variant=variant, **self.CFG)
+        draw = np.random.default_rng(0).random
+        start = init_population(problem, cfg, draw)
+        pop = run(problem, cfg, lambda f: 0.0, draw, initial=start)
+        feasible = [i for i, ind in enumerate(start) if ind.eval.violation == 0.0]
+        assert feasible
+        assert [pop[i].x for i in feasible] == [start[i].x for i in feasible]
+
     @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
     def test_elitism_monotone_over_generations(self, name):
         problem = benchmark(name).problem
@@ -387,6 +399,19 @@ class TestRun:
 CORNER = box_problem((1, 1), (6, 6))
 
 
+def spy(monkeypatch, name, log, record):
+    """Wrap ``de.<name>`` so that each call appends ``record(args, result)``
+    to ``log``."""
+    original = getattr(de, name)
+
+    def spied(*args, **kwargs):
+        result = original(*args, **kwargs)
+        log.append(record(args, result))
+        return result
+
+    monkeypatch.setattr(de, name, spied)
+
+
 class TestElections:
     """``run`` elects its bests at generation 1 and after every generation that
     replaced a member; TestKernelMatchesReference, whose reference re-elects
@@ -394,20 +419,10 @@ class TestElections:
 
     GENERATIONS = 60
 
-    def spy(self, monkeypatch, name, log, record):
-        original = getattr(de, name)
-
-        def spied(*args, **kwargs):
-            result = original(*args, **kwargs)
-            log.append(record(args, result))
-            return result
-
-        monkeypatch.setattr(de, name, spied)
-
     @pytest.mark.parametrize("variant, per_generation", [("best", 1), ("degl", 2)])
     def test_zero_width_box_elects_once(self, variant, per_generation, monkeypatch):
         elections = []
-        self.spy(monkeypatch, "_elect", elections, lambda args, result: result)
+        spy(monkeypatch, "_elect", elections, lambda args, result: result)
         cfg = DEConfig(variant=variant, population_size=6, max_iterations=5, neighborhood_k=1)
         run(box_problem((2, 2), (2, 2)), cfg, OBJ1, np.random.default_rng(0).random)
         assert len(elections) == per_generation
@@ -415,21 +430,24 @@ class TestElections:
     def elections(self, problem, variant, monkeypatch):
         """The generation of each election of a run, and the generations
         expected to elect: the first, and each after one that replaced a
-        member, found by replaying the selection on the logged trials."""
+        member, found by replaying the selection on the logged clamped trials.
+        The replay evaluates every trial, those equal to their targets too,
+        which ``run`` skips."""
         objective = single_objective(0, problem.n_objectives)
         cfg = DEConfig(variant=variant, population_size=8, max_iterations=self.GENERATIONS)
         draw = np.random.default_rng(4).random
         start = init_population(problem, cfg, draw)
         generation, elections, trials = [], [], []
-        self.spy(monkeypatch, "weight_r", generation, lambda args, result: args[0])
-        self.spy(monkeypatch, "_elect", elections, lambda args, result: generation[-1])
-        self.spy(monkeypatch, "evaluate", trials, lambda args, result: result)
+        spy(monkeypatch, "weight_r", generation, lambda args, result: args[0])
+        spy(monkeypatch, "_elect", elections, lambda args, result: generation[-1])
+        spy(monkeypatch, "clamp", trials, lambda args, result: result)
         run(problem, cfg, objective, draw, initial=start)
         assert len(trials) == cfg.population_size * cfg.max_iterations
         keys = [deb_key(objective(ind.eval.objectives_min), ind.eval.violation) for ind in start]
         replaced = set()
-        for n, ev in enumerate(trials):
+        for n, trial in enumerate(trials):
             g, i = divmod(n, cfg.population_size)
+            ev = evaluate(problem, trial)
             key = deb_key(objective(ev.objectives_min), ev.violation)
             if key < keys[i]:
                 keys[i] = key
@@ -450,6 +468,39 @@ class TestElections:
     def test_skips_generations_that_replaced_nobody(self, variant, monkeypatch):
         _, expected = self.elections(CORNER, variant, monkeypatch)
         assert 1 < len(expected) < self.GENERATIONS
+
+
+class TestSkipEqualTrials:
+    """``run`` evaluates exactly the trials that differ from their targets."""
+
+    def trials(self, problem, variant, monkeypatch):
+        """Each clamped trial with its target, and the points ``run`` evaluated."""
+        cfg = DEConfig(variant=variant, population_size=8, max_iterations=30)
+        draw = np.random.default_rng(4).random
+        start = init_population(problem, cfg, draw)
+        targets, trials, evaluated = [], [], []
+        spy(monkeypatch, "crossover", targets, lambda args, result: list(args[0]))
+        spy(monkeypatch, "clamp", trials, lambda args, result: result)
+        spy(monkeypatch, "evaluate", evaluated, lambda args, result: list(args[1]))
+        run(problem, cfg, single_objective(0, problem.n_objectives), draw, initial=start)
+        assert len(trials) == len(targets) == cfg.population_size * cfg.max_iterations
+        return list(zip(targets, trials)), evaluated
+
+    @pytest.mark.parametrize("variant", ["rand1", "best", "degl"])
+    def test_zero_width_box_evaluates_no_trial(self, variant, monkeypatch):
+        # every trial equals its target, a start member that was never replaced
+        pairs, evaluated = self.trials(box_problem((2, -3), (2, -3)), variant, monkeypatch)
+        assert all(trial == target == [2.0, -3.0] for target, trial in pairs)
+        assert evaluated == []
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "corner"])
+    @pytest.mark.parametrize("variant", ["rand1", "best", "degl"])
+    def test_evaluates_exactly_the_trials_unlike_their_targets(self, name, variant, monkeypatch):
+        problem = CORNER if name == "corner" else benchmark(name).problem
+        pairs, evaluated = self.trials(problem, variant, monkeypatch)
+        assert evaluated == [trial for target, trial in pairs if trial != target]
+        if name == "corner":  # the population collapses onto the corner (6, 6)
+            assert 0 < len(evaluated) < len(pairs)
 
 
 # The parent numpy engine, kept as the reference of TestKernelMatchesReference:
@@ -522,7 +573,9 @@ def _reference_init_population(problem, config, rng):
     return [Individual(tuple(x.tolist()), evaluate(problem, x.tolist())) for x in xs]
 
 
-def _reference_run(problem, config, objective, rng, initial=None):
+def _reference_run(problem, config, objective, rng, initial=None, equal=None):
+    """The reference run; it evaluates every trial, and appends to the list
+    ``equal``, if given, whether each trial equals its target."""
     if initial is None:
         initial = _reference_init_population(problem, config, rng)
     pop = list(initial)
@@ -555,6 +608,8 @@ def _reference_run(problem, config, objective, rng, initial=None):
                 )
             target = np.asarray(pop[i].x)
             trial = _reference_clamp(_reference_crossover(target, donor, Cr, rng), lo, up)
+            if equal is not None:
+                equal.append(np.array_equal(trial, target))
             ev = evaluate(problem, trial.tolist())
             f_trial = objective(ev.objectives_min)
             if deb_key(f_trial, ev.violation) < deb_key(fit[i], vio[i]):
@@ -631,14 +686,22 @@ class TestKernelMatchesReference:
         reference_start = None
         if initial:
             reference_start = _reference_init_population(reference.problem, config, reference_rng)
+        equal = []
         expected = _reference_run(
-            reference.problem, config, objective, reference_rng, initial=reference_start
+            reference.problem, config, objective, reference_rng, initial=reference_start,
+            equal=equal,
         )
         assert [np.array(ind.x).tobytes() for ind in pop] == [
             np.array(ind.x).tobytes() for ind in expected
         ]
         assert [ind.eval for ind in pop] == [ind.eval for ind in expected]
-        assert kernel.log == reference.log
+        # the reference logs the start, then every trial; the kernel skips the
+        # trials equal to their targets
+        size = config.population_size
+        assert len(reference.log) == size + len(equal) == size * (config.max_iterations + 1)
+        assert kernel.log == reference.log[:size] + [
+            x for x, skip in zip(reference.log[size:], equal) if not skip
+        ]
         assert kernel_rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
