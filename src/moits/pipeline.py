@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import de, tabu
-from .problems import VIOLATION, Evaluation, Problem, deb_key, feasible_lattice, pareto_filter
+from .problems import (VIOLATION, Evaluation, Problem, deb_key, evaluate, feasible_lattice,
+                       pareto_filter)
 
 __all__ = [
     "CompromiseAnchors",
@@ -292,8 +293,8 @@ def stage3_alternate(
     result back into the population when it improves the incumbent. The
     archive is one :func:`pareto_filter` call, on the original objectives,
     over every feasible lattice point the walks looked at, landing or scan
-    neighbour (the feasible entries of ``evaluator.evals``), decoded from its
-    flat index; it carries ``anchors``. The kept set does not depend on the
+    neighbour (every entry of ``evaluator.evals``), decoded from its flat
+    index; it carries ``anchors``. The kept set does not depend on the
     order of the points.
 
     Both loops stop after the first tabu search that leaves every point of
@@ -311,16 +312,16 @@ def stage3_alternate(
         for i, member in enumerate(pop):
             rounded = tabu.stochastic_round(member.x, draw)
             j = tabu.tabu_search(rounded, config.ts_iterations, evaluator, draw)
-            if evaluator.key(j) < deb_key(objective(member.eval.objectives_min),
-                                          member.eval.violation):
-                pop[i] = de.Individual(tuple(map(float, evaluator.point(j))),
-                                       evaluator.evaluation(j))
+            if evaluator.keys[j] < deb_key(objective(member.eval.objectives_min),
+                                           member.eval.violation):
+                x = evaluator.point(j)
+                pop[i] = de.Individual(tuple(map(float, x)), evaluate(problem_k, x))
             if len(evaluator.keys) == lattice_size:
                 break
         if len(evaluator.keys) == lattice_size:
             break
     front = pareto_filter((evaluator.point(j), Evaluation(ev.objectives_min[:d_original], 0.0))
-                          for j, ev in evaluator.evals.items() if ev.violation == 0.0)
+                          for j, ev in evaluator.evals.items())
     return SolutionArchive({x: ArchiveEntry(ev) for x, ev in front}, anchors)
 
 

@@ -22,12 +22,11 @@ the walk looks at it, constraints first. Deb's rules rank two infeasible
 points by their violation G alone, so an infeasible point is keyed
 ``(1, G)`` without calling an objective; only a feasible point is evaluated
 in full and given its fitness. :class:`CachedEvaluator` stores the keys in
-the dict ``keys``, the record of every point looked at, which reads a
-missing index as ``None``, so the walk reads a key as ``keys[i] or key(i)``.
-Its ``evals`` dict holds the full evaluation of every feasible point the
-walks have looked at (and of any point asked for through ``evaluation``),
-which is where a caller harvests candidate solutions beyond each search's
-best.
+the dict ``keys``, the record of every point looked at, which keys a missing
+index on the read, so the walk reads a key as ``keys[i]``. Its ``evals``
+dict holds the full evaluation of exactly the feasible points the walks have
+looked at, which is where a caller harvests candidate solutions beyond each
+search's best.
 
 The kernel: one :func:`tabu_move` call runs a whole search and keeps the
 aspiration level current inside the call: a landing whose key beats the level
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import defaultdict
+import weakref
 from collections.abc import Callable
 
 from .problems import Evaluation, Problem, _max_violation, deb_key, evaluate
@@ -63,22 +62,30 @@ from .problems import Evaluation, Problem, _max_violation, deb_key, evaluate
 __all__ = ["CachedEvaluator", "stochastic_round", "tabu_move", "tabu_search"]
 
 
+class _KeyStore(dict):
+    """Keys by flat index; a miss calls the evaluator's ``key``, which stores the key."""
+
+    def __init__(self, evaluator):
+        self.evaluator = weakref.proxy(evaluator)  # weak: no cycle keeps a dropped evaluator alive
+
+    def __missing__(self, i):
+        return self.evaluator.key(i)
+
+
 class CachedEvaluator:
     """Memoizes the scalar fitness keys (and the evaluations of feasible
     points) of the lattice points of a problem's box.
 
     Both caches are dicts keyed by the flat index of a point (see the module
-    docstring). A key miss computes the decoded point's violation G first:
-    an infeasible point gets the key ``(1, G)`` and no objective call, a
+    docstring). Reading ``keys[i]`` for an index not yet keyed calls
+    :meth:`key`, which computes the decoded point's violation G first: an
+    infeasible point gets the key ``(1, G)`` and no objective call, a
     feasible one is evaluated with :func:`evaluate` on the problem without
     its constraints, so each constraint is called once per keyed point and
-    the evaluation is the one ``evaluate`` gives. ``keys`` reads a miss as
-    ``None`` and holds exactly the points looked at, whatever the size of the
-    box; ``evals`` holds the full evaluations of the feasible ones among
-    them, plus any point asked for through :meth:`evaluation`. The benchmark
-    lattices are tiny compared to the tabu move budget, so the search
-    revisits points constantly; caching makes each neighbour an integer
-    addition and a dict lookup.
+    the evaluation is the one ``evaluate`` gives. ``keys`` holds exactly the
+    points looked at, whatever the size of the box; ``evals`` holds the full
+    evaluations of exactly the feasible ones among them. A neighbour whose
+    key is stored costs the walk an integer addition and a dict lookup.
     """
 
     def __init__(self, problem: Problem, objective):
@@ -95,9 +102,7 @@ class CachedEvaluator:
         # (variable, stride, radix) per variable, the scan's loop
         self.axes = tuple(zip(range(problem.dimension), self.strides, self.radix))
         self.evals: dict[int, Evaluation] = {}
-        # a missing index reads as a None slot that key then fills;
-        # NoneType as the factory is a C call, a Python __missing__ is not
-        self.keys = defaultdict(type(None))
+        self.keys = _KeyStore(self)
 
     def index(self, x) -> int:
         """Flat index of the lattice point ``x``; a point outside the box
@@ -115,28 +120,18 @@ class CachedEvaluator:
         return tuple([lo + i // s % r
                       for lo, s, r in zip(self.problem.lower_bounds, self.strides, self.radix)])
 
-    def evaluation(self, i: int) -> Evaluation:
-        """The full evaluation of the lattice point of flat index ``i``,
-        feasible or not."""
-        ev = self.evals.get(i)
-        if ev is None:
-            ev = self.evals[i] = evaluate(self.problem, self.point(i))
-        return ev
-
     def key(self, i: int):
-        """Feasibility-rule comparison key of flat index ``i`` under the bound
-        objective."""
-        k = self.keys[i]
-        if k is None:
-            ev = self.evals.get(i)
-            if ev is None:
-                x = self.point(i)
-                violation = _max_violation(self.problem, x)
-                if violation > 0.0:  # deb_key's infeasible key; it reads no fitness
-                    k = self.keys[i] = (1, violation)
-                    return k
-                ev = self.evals[i] = evaluate(self._feasible, x)
-            k = self.keys[i] = deb_key(self.objective(ev.objectives_min), ev.violation)
+        """Compute, store in ``keys`` and return the feasibility-rule key of flat
+        index ``i`` under the bound objective, and a feasible point's evaluation
+        in ``evals``; nothing is stored if it raises. ``keys[i]`` calls it on a miss."""
+        x = self.point(i)
+        violation = _max_violation(self.problem, x)
+        if violation > 0.0:  # deb_key's infeasible key; it reads no fitness
+            k = self.keys[i] = (1, violation)
+            return k
+        ev = evaluate(self._feasible, x)
+        k = self.keys[i] = deb_key(self.objective(ev.objectives_min), ev.violation)
+        self.evals[i] = ev
         return k
 
 
@@ -186,9 +181,9 @@ def tabu_move(
     be at most ``k``, as it is along a walk.
     """
     n = len(t)
-    keys, key = evaluator.keys, evaluator.key
+    keys = evaluator.keys
     strides, radix, axes = evaluator.strides, evaluator.radix, evaluator.axes
-    star_key = keys[star] or key(star)
+    star_key = keys[star]
     last = max(t)  # stamps only grow, so the newest stamp is the largest
     end = k + moves
     better = None  # (variable, neighbour, key) of each neighbour that beats i
@@ -201,7 +196,7 @@ def tabu_move(
             better = None
         else:
             if better is None:  # the first scan at i looks up every neighbour
-                i_key = keys[i] or key(i)
+                i_key = keys[i]
                 if i_key < star_key:  # i is the call's start or a landing
                     star, star_key = i, i_key
                 u, better = [], []
@@ -210,12 +205,12 @@ def tabu_move(
                     c = i // s % r
                     if c > 0:
                         cand = i - s
-                        cand_key = keys[cand] or key(cand)
+                        cand_key = keys[cand]
                         if cand_key < i_key:
                             better.append((j, cand, cand_key))
                     if c < r - 1:
                         cand = i + s
-                        cand_key = keys[cand] or key(cand)
+                        cand_key = keys[cand]
                         if cand_key < i_key:
                             better.append((j, cand, cand_key))
                 if not better:  # no neighbour beats i: every scan stalls until the kick
@@ -234,7 +229,7 @@ def tabu_move(
                 t[winner] = last = k
                 i, better = best, None
         k += 1
-    if better is None and (keys[i] or key(i)) < star_key:  # the last move landed
+    if better is None and keys[i] < star_key:  # the last move landed
         star = i
     return i, star
 

@@ -8,8 +8,9 @@ because ``perfbench/test_perfbench.py`` puts its own checkout's ``src/`` first
 on ``sys.path``. No file of the checkout changes. Each mutant costs a full
 Tier-1 run, one to two minutes on two CPUs, so the result is reported, not
 gated; CI runs ``mu_no_clip``, ``topsis_benefit_as_cost``, ``no_aspiration``,
-``stale_neighbours``, ``keep_dropped``, ``select_le`` and ``skip_first_equal``
-and fails unless some test fails under each.
+``stale_neighbours``, ``keep_dropped``, ``select_le``, ``skip_first_equal``,
+``infeasible_key_flat`` and ``no_writeback`` and fails unless some test fails
+under each.
 
     python tests/mutants.py                       # every mutant
     python tests/mutants.py no_kick elect_worst   # the named ones
@@ -49,8 +50,8 @@ MUTANTS = {
     "ts_one_move": ("pipeline.py", "tabu.tabu_search(rounded, config.ts_iterations,",
                     "tabu.tabu_search(rounded, 1,",
                     "each stage-3 tabu search makes one move"),
-    "no_writeback": ("pipeline.py", "if evaluator.key(j) < deb_key(",
-                     "if False and evaluator.key(j) < deb_key(",
+    "no_writeback": ("pipeline.py", "if evaluator.keys[j] < deb_key(",
+                     "if False and evaluator.keys[j] < deb_key(",
                      "stage 3 never writes a tabu point back"),
     "infeasible_key_flat": ("tabu.py", "k = self.keys[i] = (1, violation)",
                             "k = self.keys[i] = (1, 0.0)",

@@ -653,3 +653,7 @@ class TestCoordinatesAreFloats:
         assert replaced
         assert_float_coordinates(replaced)
         assert all(v.is_integer() for ind in replaced for v in ind.x)
+        # a written-back member carries the evaluation of its point
+        problem_k = augment_with_violation(WIDE_BOX)
+        for ind in replaced:
+            assert ind.eval == evaluate(problem_k, tuple(int(v) for v in ind.x))

@@ -1,5 +1,6 @@
 import operator
 import re
+import weakref
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -68,10 +69,10 @@ class TestCachedEvaluator:
             upper_bounds=(5,),
         )
         ev = CachedEvaluator(problem, OBJ1)
-        ev.evaluation(ev.index((3,)))
-        ev.evaluation(ev.index((3,)))
-        ev.key(ev.index((3,)))
+        i = ev.index((3,))
+        assert ev.keys[i] == ev.keys[i] == (0, 9.0)
         assert len(calls) == 1
+        assert ev.evals == {i: evaluate(problem, (3,))}
 
     def test_key_matches_feasibility_rules(self):
         problem = benchmark("p1").problem
@@ -555,6 +556,15 @@ class TestKeyStore:
         assert set(evaluator.evals) == feasible
         assert all(ev.violation == 0.0 for ev in evaluator.evals.values())
 
+    def test_a_dropped_evaluator_is_freed_at_once(self):
+        # the key store refers back to its evaluator weakly: a reference cycle
+        # would keep a finished solve's stores alive until the cyclic collector ran
+        evaluator = CachedEvaluator(capped_problem(), OBJ1)
+        tabu_search((3, 2), 50, evaluator, np.random.default_rng(0).random)
+        dropped = weakref.ref(evaluator)
+        del evaluator
+        assert dropped() is None
+
 
 def capped_problem(capacities=(4, 6), nan_at=None):
     """Two caps over the box [-3, 3]^2, on x1 + x2 and on x1 - x2, under the
@@ -635,13 +645,10 @@ class TestConstraintFirstKeys:
             assert k == reference.key(evaluator.point(i))
 
     def test_evaluation_of_an_infeasible_keyed_index(self):
-        problem = capped_problem()
-        evaluator = CachedEvaluator(problem, OBJ1)
+        evaluator = CachedEvaluator(capped_problem(), OBJ1)
         i = evaluator.index((3, 3))
-        assert evaluator.key(i) == (1, 2.0)
-        assert i not in evaluator.evals
-        assert evaluator.evaluation(i) == evaluate(problem, (3, 3))
-        assert evaluator.key(i) == (1, 2.0)
+        assert evaluator.keys[i] == (1, 2.0)
+        assert i in evaluator.keys and i not in evaluator.evals
 
     def test_nan_objective_at_an_infeasible_point_does_not_stop_a_walk(self):
         # (3, 3) violates the first cap; the walk from (3, 2) looks at it
@@ -655,6 +662,9 @@ class TestConstraintFirstKeys:
         with pytest.raises(ValueError,
                            match=re.escape("objective 0 of 'capped' is non-finite at (0, 1)")):
             tabu_search((3, 1), 50, evaluator, np.random.default_rng(0).random)
+        # the raising key computation stores nothing
+        i = evaluator.index((0, 1))
+        assert i not in evaluator.keys and i not in evaluator.evals
 
     @pytest.mark.parametrize("where", [(3, 3), (0, 0)], ids=["infeasible", "feasible"])
     def test_non_finite_constraint_raises_anywhere(self, where):
