@@ -17,6 +17,13 @@ are unchanged and the election would return the same indices. An election
 builds one (fitness, violation) array, and the global and ring elections
 both index it. Each slot keeps its ``deb_key``, so a trial computes one key.
 
+A run keeps parallel per-slot lists: the point, its objective tuple, fitness,
+violation and key. It measures a trial as a plain (objectives, G) pair with
+``problems._measure``, which :func:`~moits.problems.evaluate` wraps, and builds
+each member's :class:`~moits.problems.Evaluation` once, when it returns: on
+the benchmarks only 25-31% of the evaluated trials replace their member, so a
+record per trial would mostly be thrown away.
+
 A trial equal to its target is skipped: no evaluation, fitness or key. It
 would get the target's key, and only a strictly smaller key replaces a member,
 so it cannot win; it has already drawn every uniform of its step. Such trials
@@ -62,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .problems import Evaluation, Problem, deb_key, evaluate
+from .problems import Evaluation, Problem, _measure, deb_key, evaluate
 from .topsis import cost_closeness
 
 __all__ = [
@@ -267,14 +274,16 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
     trial equal to its target is not evaluated, since it cannot replace it
     (module docstring): a run evaluates its fresh population and the trials
     that differ from their targets, with the same draws and results as if it
-    evaluated every trial, for pure objectives and constraints.
+    evaluated every trial, for pure objectives and constraints. Slots hold
+    objective tuples; each returned member's ``Evaluation`` is built on return
+    and equals ``evaluate(problem, member.x)``.
     """
     pop = list(initial) if initial is not None else init_population(problem, config, draw)
     np_size = len(pop)
     xs = [list(ind.x) for ind in pop]  # lists, as trials are: a tuple never == a list
-    evals = [ind.eval for ind in pop]
-    fit = [objective(ev.objectives_min) for ev in evals]
-    vio = [ev.violation for ev in evals]
+    objs = [ind.eval.objectives_min for ind in pop]
+    vio = [ind.eval.violation for ind in pop]
+    fit = [objective(o) for o in objs]
     keys = [deb_key(f, v) for f, v in zip(fit, vio)]
     lo = [float(v) for v in problem.lower_bounds]
     up = [float(v) for v in problem.upper_bounds]
@@ -307,11 +316,11 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
             trial = clamp(crossover(xs[i], donor, Cr, draw), lo, up)
             if trial == xs[i]:  # its key would equal the target's: it cannot win
                 continue
-            ev = evaluate(problem, trial)
-            f_trial = objective(ev.objectives_min)
-            key = deb_key(f_trial, ev.violation)
+            o, v = _measure(problem, trial)
+            f_trial = objective(o)
+            key = deb_key(f_trial, v)
             if key < keys[i]:
-                xs[i], evals[i], fit[i], vio[i] = trial, ev, f_trial, ev.violation
+                xs[i], objs[i], fit[i], vio[i] = trial, o, f_trial, v
                 keys[i] = key
                 stale = True
-    return [Individual(tuple(x), ev) for x, ev in zip(xs, evals)]
+    return [Individual(tuple(x), Evaluation(o, v)) for x, o, v in zip(xs, objs, vio)]

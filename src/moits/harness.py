@@ -74,6 +74,15 @@ def _solve_run(args):
     return archive, time.perf_counter() - started
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: the size of its affinity set
+    where the platform has one (``taskset`` or a cpuset can make it smaller
+    than ``os.cpu_count()``), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(
     spec: BenchmarkSpec,
     variant: str,
@@ -83,17 +92,17 @@ def run_experiment(
 ) -> ExperimentReport:
     """Execute ``hybrid_config.runs`` independent seeded runs of one variant.
 
-    Runs execute in parallel when more than one CPU is available, on at most
-    ``runs`` worker processes. Each archived solution is counted once per run
-    that found it, and every counted solution is re-checked for feasibility;
-    the counts are sorted by descending count, then solution, so the report is
-    deterministic per master seed.
+    Runs execute in parallel when the process may run on more than one CPU,
+    on at most ``runs`` worker processes. Each archived solution is counted
+    once per run that found it, and every counted solution is re-checked for
+    feasibility; the counts are sorted by descending count, then solution, so
+    the report is deterministic per master seed.
     """
     config = replace(hybrid_config, de=replace(hybrid_config.de, variant=variant))
     seeds = tuple(derive_seed(master_seed, i) for i in range(config.runs))
     jobs = [(spec, config, seed) for seed in seeds]
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _usable_cpus()
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, config.runs)

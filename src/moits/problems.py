@@ -5,16 +5,19 @@ inequality constraints ``g_j(x) <= 0`` and an integer box ``[l, u]``.
 Evaluation converts every objective to minimization sense and aggregates
 constraint violation into a single scalar ``G(x) = max(0, g_1, ..., g_m)``,
 so that all downstream comparisons (dominance, Deb feasibility rules,
-TOPSIS criteria) work on one uniform representation. ``_max_violation`` is
-the one place G is computed: :func:`evaluate` calls it, and so does the tabu
-search's key of a lattice point, which reads no objective of an infeasible
-point. An objective slot holding :data:`VIOLATION` reads G, and a problem has
-at most one such slot.
+TOPSIS criteria) work on one uniform representation. ``_measure`` is the
+one place a point is evaluated: it returns the objective tuple and G as a
+plain pair, :func:`evaluate` wraps that pair in an :class:`Evaluation`, and a
+DE run measures its trials with it directly, so a trial that loses builds no
+record. ``_max_violation`` is the one place G is computed: ``_measure`` calls
+it, and so does the tabu search's key of a lattice point, which reads no
+objective of an infeasible point. An objective slot holding
+:data:`VIOLATION` reads G, and a problem has at most one such slot.
 
 A :class:`Problem` builds its evaluation plan once, when it is created (and
 again in every ``dataclasses.replace``): a ``(index, fn, negate)`` triple per
 real objective, the index of the :data:`VIOLATION` slot (-1 if none) and the
-enumerated constraints. :func:`evaluate` reads the plan instead of testing
+enumerated constraints. ``_measure`` reads the plan instead of testing
 each slot and sense on every call. The plan is not a dataclass field, so
 equality, hashing and ``repr`` see only the fields.
 """
@@ -127,6 +130,12 @@ def evaluate(problem: Problem, x) -> Evaluation:
     Raises on dimension mismatch and on non-finite function values, naming
     the offending objective or constraint. A :data:`VIOLATION` slot gets G(x).
     """
+    return Evaluation(*_measure(problem, x))
+
+
+def _measure(problem: Problem, x) -> tuple[tuple[float, ...], float]:
+    """The fields of ``evaluate(problem, x)``, the minimization-sense objective
+    tuple and G(x), as a plain pair; it raises as :func:`evaluate` does."""
     if len(x) != problem.dimension:
         raise ValueError(
             f"point of length {len(x)} for problem of dimension {problem.dimension}"
@@ -141,7 +150,7 @@ def evaluate(problem: Problem, x) -> Evaluation:
     violation = _max_violation(problem, x)
     if slot >= 0:
         objs.insert(slot, violation)
-    return Evaluation(tuple(objs), violation)
+    return tuple(objs), violation
 
 
 def _max_violation(problem: Problem, x) -> float:

@@ -9,8 +9,13 @@ on ``sys.path``. No file of the checkout changes. Each mutant costs a full
 Tier-1 run, one to two minutes on two CPUs, so the result is reported, not
 gated; CI runs ``mu_no_clip``, ``topsis_benefit_as_cost``, ``no_aspiration``,
 ``stale_neighbours``, ``keep_dropped``, ``select_le``, ``skip_first_equal``,
-``infeasible_key_flat`` and ``no_writeback`` and fails unless some test fails
-under each.
+``infeasible_key_flat``, ``no_writeback`` and ``stale_objectives`` and fails
+unless some test fails under each.
+
+Each pytest run starts in its own session, with its temporary files under the
+mutant's temporary directory. SIGTERM, as a CI timeout sends, raises
+``SystemExit``: the run's whole process group is killed and waited for, and
+the temporary directory, copy included, is removed on the way out.
 
     python tests/mutants.py                       # every mutant
     python tests/mutants.py no_kick elect_worst   # the named ones
@@ -20,8 +25,10 @@ pytest does not collect this file.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -40,6 +47,9 @@ MUTANTS = {
                   "DE selection also replaces a member by a trial of equal key"),
     "skip_first_equal": ("de.py", "if trial == xs[i]:", "if trial[0] == xs[i][0]:",
                          "DE skips every trial whose first coordinate equals its target's"),
+    "stale_objectives": ("de.py", "xs[i], objs[i], fit[i], vio[i] = trial, o, f_trial, v",
+                         "xs[i], fit[i], vio[i] = trial, f_trial, v",
+                         "a DE replacement keeps the slot's old objective tuple"),
     "degl_r_half": ("de.py", "return iteration / max_iterations", "return 0.5",
                     "the DEGL weight stays at 0.5"),
     "no_aspiration": ("tabu.py", "(k - t[j] > tenure or cand_key < star_key)",
@@ -94,21 +104,39 @@ def mutate(src: Path, name: str) -> None:
 
 
 def failing_tests(copy: Path) -> list[str]:
-    """The ids of the Tier-1 tests that fail or error in the checkout ``copy``."""
+    """The ids of the Tier-1 tests that fail or error in the checkout ``copy``.
+
+    pytest runs in a session of its own, with its temporary files next to
+    ``copy``; if this process is stopped, the session's processes are killed
+    and waited for before the exception goes on."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    env["TMPDIR"] = str(copy.parent)
     # tests/test_mutants.py fails on every mutated copy, since the edit removes
     # the text it looks for; counting it would make every mutant look killed
-    result = subprocess.run(
+    with subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "-rfE", "--ignore=tests/test_mutants.py"],
-        cwd=copy, env=env, capture_output=True, text=True,
-    )
-    if result.returncode not in (0, 1):  # 1: some tests failed
-        raise SystemExit(f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}")
+        cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):  # the session has exited
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    if proc.returncode not in (0, 1):  # 1: some tests failed
+        raise SystemExit(f"pytest exited {proc.returncode}:\n{stdout}{stderr}")
     return [line.split(" ", 1)[1].split(" - ", 1)[0]
-            for line in result.stdout.splitlines()
+            for line in stdout.splitlines()
             if line.startswith(("FAILED ", "ERROR "))]
+
+
+def _stop(signum, frame):
+    """Turn SIGTERM into ``SystemExit``, so that ``with`` blocks unwind."""
+    raise SystemExit(128 + signum)
 
 
 def main(names: list[str]) -> int:
@@ -136,4 +164,5 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, _stop)
     sys.exit(main(sys.argv[1:]))

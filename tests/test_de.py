@@ -393,6 +393,20 @@ class TestRun:
         best = pop[choose_best(pop, range(len(pop)), obj)]
         assert best.eval.objectives_min[0] <= lattice_best
 
+    @pytest.mark.parametrize("initial", [False, True])
+    @pytest.mark.parametrize("name", ["p1", "p2", "corner"])
+    @pytest.mark.parametrize("variant", ["rand1", "best", "degl"])
+    def test_each_member_record_is_its_evaluation(self, variant, name, initial):
+        # slots hold objective tuples; the records are built when the run returns
+        problem = CORNER if name == "corner" else benchmark(name).problem
+        cfg = DEConfig(variant=variant, **self.CFG)
+        draw = np.random.default_rng(2).random
+        start = init_population(problem, cfg, draw) if initial else None
+        pop = run(problem, cfg, single_objective(0, problem.n_objectives), draw, initial=start)
+        assert [ind.eval for ind in pop] == [evaluate(problem, ind.x) for ind in pop]
+        if initial:  # some member was replaced
+            assert [ind.x for ind in pop] != [ind.x for ind in start]
+
 
 # its optimum is the box corner, which clamping reaches exactly, so a run's
 # population stops improving
@@ -481,7 +495,7 @@ class TestSkipEqualTrials:
         targets, trials, evaluated = [], [], []
         spy(monkeypatch, "crossover", targets, lambda args, result: list(args[0]))
         spy(monkeypatch, "clamp", trials, lambda args, result: result)
-        spy(monkeypatch, "evaluate", evaluated, lambda args, result: list(args[1]))
+        spy(monkeypatch, "_measure", evaluated, lambda args, result: list(args[1]))
         run(problem, cfg, single_objective(0, problem.n_objectives), draw, initial=start)
         assert len(trials) == len(targets) == cfg.population_size * cfg.max_iterations
         return list(zip(targets, trials)), evaluated

@@ -169,6 +169,21 @@ class TestWorkerPool:
 
     def test_default_pool_capped_at_runs(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        run_experiment(benchmark("p3"), "rand1", replace(SMALL, runs=2), master_seed=9)
+        assert pool_sizes == [2]
+
+    def test_default_pool_sized_by_affinity(self, pool_sizes, monkeypatch):
+        # under `taskset -c 0` on a 64-CPU host the runs go one after another
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        run_experiment(benchmark("p3"), "rand1", replace(SMALL, runs=2), master_seed=9)
+        assert pool_sizes == []
+
+    def test_default_pool_without_affinity_uses_cpu_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         run_experiment(benchmark("p3"), "rand1", replace(SMALL, runs=2), master_seed=9)
         assert pool_sizes == [2]
 
