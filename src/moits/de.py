@@ -14,8 +14,9 @@ are elected at the start of a generation and passed in, so replacements made
 during the generation do not move them. They are re-elected only after a
 generation that replaced a member: otherwise the (fitness, violation) pairs
 are unchanged and the election would return the same indices. An election
-builds one (fitness, violation) array, and the global and ring elections
-both index it. Each slot keeps its ``deb_key``, so a trial computes one key.
+builds one 2 x P (fitness, violation) array, and the global and ring elections
+both gather from it, each election a column of an index array. Each slot keeps
+its ``deb_key``, so a trial computes one key.
 
 A run keeps parallel per-slot lists: the point, its objective tuple, fitness,
 violation and key. It measures a trial as a plain (objectives, G) pair with
@@ -43,7 +44,12 @@ handful of variables of a member, numpy's per-call overhead costs more than
 the arithmetic. Each formula keeps numpy's operation order, and
 :func:`clamp` resolves ties as ``np.clip`` does, so the floats are the ones
 numpy computed; :func:`mutate_degl` builds ``r * global + (1 - r) * local``
-in one pass over the coordinates. The TOPSIS elections run in numpy.
+in one pass over the coordinates. The TOPSIS elections run in numpy, on
+batch-last matrices: the elections of a call lie on the contiguous axis, so
+``cost_closeness`` reduces over contiguous rows of all of them at once (see
+:func:`_elect`). The closeness floats are those of one C-order matrix per
+election: maxima and minima do not depend on order, and each distance sums
+its two criteria with one addition in either layout.
 
 Random draws: :func:`init_population`, :func:`run` and the primitives take a
 ``draw`` callable returning one uniform in [0, 1); ``rng.random`` gives one
@@ -245,13 +251,23 @@ def block_draws(rng: np.random.Generator):
     return itertools.chain.from_iterable(blocks()).__next__, settle
 
 
-def _elect(pairs: np.ndarray, idx: np.ndarray):
-    """TOPSIS election over the rows of ``pairs``, the (fitness, violation)
-    pair of each population member, indexed by ``idx``. A 1-D index set gives
-    the population index of its best member; a 2-D array of rows gives one
-    best index per row."""
-    best = cost_closeness(pairs[idx]).argmax(axis=-1)
-    return idx[best] if idx.ndim == 1 else idx[np.arange(len(idx)), best]
+def _elect(pairs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """TOPSIS elections over the 2 x P array ``pairs``, the fitness and the
+    violation of each population member. Each column of ``rows`` lists the
+    population indices of one election's candidates; returns the elected
+    index of each column, its first candidate of greatest closeness.
+
+    ``np.take`` gathers the (2, candidates, elections) array in C order, and
+    its transpose is the batch-last view ``cost_closeness`` reduces: the
+    elections lie on the contiguous axis, so each normalization maximum, ideal
+    and distance is an elementwise pass over contiguous rows of all elections,
+    not a reduction over a short strided axis per election. The floats are
+    those of the matrices gathered one per election in C order: maxima and
+    minima do not depend on the order they are taken in, and each distance
+    sums its two criteria with one addition in either layout.
+    """
+    best = cost_closeness(np.take(pairs, rows, axis=1).T).argmax(axis=-1)
+    return rows[best, np.arange(rows.shape[1])]
 
 
 def choose_best(pop, indices, objective) -> int:
@@ -263,7 +279,7 @@ def choose_best(pop, indices, objective) -> int:
         raise ValueError("cannot choose the best of an empty index set")
     fit = [objective(ind.eval.objectives_min) for ind in pop]
     vio = [ind.eval.violation for ind in pop]
-    return int(_elect(np.array((fit, vio)).T, idx))
+    return int(_elect(np.array((fit, vio)), idx[:, None])[0])
 
 
 def run(problem, config: DEConfig, objective, draw, initial=None):
@@ -287,21 +303,21 @@ def run(problem, config: DEConfig, objective, draw, initial=None):
     keys = [deb_key(f, v) for f, v in zip(fit, vio)]
     lo = [float(v) for v in problem.lower_bounds]
     up = [float(v) for v in problem.upper_bounds]
-    indices = np.arange(np_size)
+    everyone = np.arange(np_size)[:, None]  # the global election: one column
     F, Cr, variant = config.scale_factor, config.crossover_rate, config.variant
     if variant == "degl":
         neigh_lists = [_neighborhood(i, config.neighborhood_k, np_size) for i in range(np_size)]
-        neigh_rows = np.array(neigh_lists)
+        neigh_cols = np.array(neigh_lists).T.copy()  # a ring election per column
     stale = True  # no election yet, or a member replaced since the last one
     for iteration in range(1, config.max_iterations + 1):
         r = weight_r(iteration, config.max_iterations)
         # best indices are frozen at generation start (slot updates within
         # the generation do not re-elect them); unchanged pairs keep them
         if stale and variant != "rand1":
-            pairs = np.array((fit, vio)).T
-            gbest = int(_elect(pairs, indices))
+            pairs = np.array((fit, vio))
+            gbest = int(_elect(pairs, everyone)[0])
             if variant == "degl":
-                local_bests = _elect(pairs, neigh_rows).tolist()
+                local_bests = _elect(pairs, neigh_cols).tolist()
             stale = False
         for i in range(np_size):
             if variant == "rand1":

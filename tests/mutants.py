@@ -9,8 +9,8 @@ on ``sys.path``. No file of the checkout changes. Each mutant costs a full
 Tier-1 run, one to two minutes on two CPUs, so the result is reported, not
 gated; CI runs ``mu_no_clip``, ``topsis_benefit_as_cost``, ``no_aspiration``,
 ``stale_neighbours``, ``keep_dropped``, ``select_le``, ``skip_first_equal``,
-``infeasible_key_flat``, ``no_writeback`` and ``stale_objectives`` and fails
-unless some test fails under each.
+``infeasible_key_flat``, ``no_writeback``, ``stale_objectives`` and
+``elect_worst`` and fails unless some test fails under each.
 
 Each pytest run starts in its own session, with its temporary files under the
 mutant's temporary directory. SIGTERM, as a CI timeout sends, raises
@@ -40,8 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # the text occurs exactly once in its file, so a formula written twice cannot
 # hide a copy that the edit leaves intact
 MUTANTS = {
-    "elect_worst": ("de.py", "cost_closeness(pairs[idx]).argmax(axis=-1)",
-                    "cost_closeness(pairs[idx]).argmin(axis=-1)",
+    "elect_worst": ("de.py", "cost_closeness(np.take(pairs, rows, axis=1).T).argmax(axis=-1)",
+                    "cost_closeness(np.take(pairs, rows, axis=1).T).argmin(axis=-1)",
                     "TOPSIS elections pick the least close member"),
     "select_le": ("de.py", "if key < keys[i]:", "if key <= keys[i]:",
                   "DE selection also replaces a member by a trial of equal key"),

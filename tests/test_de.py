@@ -484,6 +484,59 @@ class TestElections:
         assert 1 < len(expected) < self.GENERATIONS
 
 
+def adversarial_pairs(kind, size, rng):
+    """A 2 x ``size`` (fitness, violation) array of one adversarial kind."""
+    fit = rng.integers(-3, 4, size).astype(float)
+    vio = np.where(rng.random(size) < 0.5, 0.0, rng.integers(1, 5, size) / 4)
+    if kind == "near_ties":  # fitness and violation 0 to 2 ulps apart
+        base = rng.choice([1.0, -2.5, 1e-300, 3e5])
+        fit = base + rng.integers(0, 3, size) * np.spacing(base)
+        vio = np.where(vio > 0.0, 0.5 + rng.integers(0, 3, size) * np.spacing(0.5), 0.0)
+    elif kind == "equal_fitness":
+        fit = np.full(size, fit[0])
+    elif kind == "feasible":
+        vio = np.zeros(size)
+    elif kind == "infeasible":
+        vio = rng.random(size) + 1e-3
+    elif kind == "negative":
+        fit = -rng.random(size) * 10.0
+    elif kind == "signed_zeros":
+        fit = rng.choice([-0.0, 0.0, 1.0], size)
+    return np.array((fit, vio))
+
+
+class TestBatchLastElections:
+    """``_elect`` gathers its elections batch-last; the closeness floats are
+    those of the same matrices laid out one election after another, and each
+    column elects its first candidate of greatest closeness."""
+
+    KINDS = ("ties", "near_ties", "equal_fitness", "feasible", "infeasible", "negative",
+             "signed_zeros")
+
+    @staticmethod
+    def elections(size):
+        """The ring elections of widths 1, 2 and 3 and the whole population."""
+        yield from (np.array([de._neighborhood(i, k, size) for i in range(size)]).T
+                    for k in (1, 2, 3))
+        yield np.arange(size)[:, None]
+
+    @pytest.mark.parametrize("size", [7, 40])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_closeness_bytes_and_first_maximum(self, kind, size):
+        rng = np.random.default_rng(size)
+        for _ in range(60):
+            pairs = adversarial_pairs(kind, size, rng)
+            for rows in self.elections(size):
+                batch_last = np.take(pairs, rows, axis=1).T
+                xi = cost_closeness(batch_last)
+                assert xi.tobytes() == cost_closeness(np.ascontiguousarray(batch_last)).tobytes()
+                expected = []
+                for column in rows.T:
+                    one = cost_closeness(np.ascontiguousarray(pairs[:, column].T))
+                    expected.append(column[np.flatnonzero(one == one.max())[0]])
+                assert de._elect(pairs, rows).tolist() == expected
+
+
 class TestSkipEqualTrials:
     """``run`` evaluates exactly the trials that differ from their targets."""
 

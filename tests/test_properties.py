@@ -8,9 +8,12 @@ the box meets, and runs reduced configs so that each example takes tens of
 milliseconds.
 """
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+from unittest import mock
 
+import numpy as np
+from hypothesis import event, example, given, settings, strategies as st
+
+from moits import tabu
 from moits.de import VARIANTS, DEConfig, init_population, run, single_objective
 from moits.pipeline import HybridConfig, solve
 from moits.problems import Problem, brute_force_pareto, deb_key, dominates, evaluate
@@ -96,8 +99,20 @@ class TestRunProperties:
                     <= deb_key(objective(before.eval.objectives_min), before.eval.violation))
 
 
+# a constrained problem whose 42-point box stage 3 keys whole under the
+# property test's config
+FULLY_KEYED = Problem(
+    dimension=2,
+    objectives=((Quadratic([1, 4], [1, 2]), "min"), (Linear([2, -1], 0), "max")),
+    constraints=(Linear([1, 1], 6),),
+    lower_bounds=(-2, 0),
+    upper_bounds=(4, 5),
+)
+
+
 class TestSolveProperties:
     @settings(max_examples=100, deadline=None)
+    @example(problem=FULLY_KEYED, variant="degl", oracle_anchors=False, seed=0)
     @given(
         problem=small_problems(),
         variant=st.sampled_from(VARIANTS),
@@ -114,7 +129,16 @@ class TestSolveProperties:
             runs=1,
             oracle_anchors=oracle_anchors,
         )
-        archive = solve(problem, config, np.random.default_rng(seed))
+        evaluators = []
+        real = tabu.CachedEvaluator
+
+        def spied(*args):
+            evaluators.append(real(*args))
+            return evaluators[-1]
+
+        with mock.patch.object(tabu, "CachedEvaluator", spied):
+            archive = solve(problem, config, np.random.default_rng(seed))
+        [evaluator] = evaluators  # stage 3's
         entries = archive.entries
         for x, entry in entries.items():
             again = evaluate(problem, x)
@@ -123,9 +147,16 @@ class TestSolveProperties:
         for x, entry in entries.items():
             assert not any(dominates(other.evaluation, entry.evaluation)
                            for y, other in entries.items() if y != x)
-        # stage 3 archives every feasible point its walks evaluated, and 16 walks of
-        # 1000 moves evaluate nearly all of a box this small, so only front points survive
-        assert set(entries) <= {x for x, _ in brute_force_pareto(problem)}
+        # stage 3 archives every feasible point its walks evaluated: once they have
+        # keyed the whole box, that is every feasible point, and the archive is the
+        # exact front; otherwise only front points survive among those it saw
+        front = {x for x, _ in brute_force_pareto(problem)}
+        if len(evaluator.keys) == problem.lattice_size():
+            event("stage 3 keyed the whole lattice: the archive is the front")
+            assert set(entries) == front
+        else:
+            event("stage 3 left lattice points unkeyed: the archive is within the front")
+            assert set(entries) <= front
 
     def test_front_point_seen_only_as_a_neighbour(self):
         # shrunk by hypothesis from the exact-front assertion above: every point of this

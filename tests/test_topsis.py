@@ -172,8 +172,9 @@ class TestProperties:
                 for f, v in zip(rng.integers(-3, 4, 10), violation)
             ]
             rows = np.array([rng.permutation(10)[:5] for _ in range(10)])
-            pairs = np.array([(objective(ind.eval.objectives_min), ind.eval.violation) for ind in pop])
-            elected = de._elect(pairs, rows)
+            pairs = np.array([[objective(ind.eval.objectives_min) for ind in pop],
+                              [ind.eval.violation for ind in pop]])
+            elected = de._elect(pairs, rows.T)
             assert elected.tolist() == [choose_best(pop, row, objective) for row in rows]
 
 
