@@ -14,6 +14,7 @@ solution `(7,6)` of `format_solution`.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import pickle
@@ -66,12 +67,12 @@ class ExperimentReport:
     schema_version: int = SCHEMA_VERSION
 
 
-def _solve_run(args):
-    spec, config, seed = args
+def _solve_run(spec: BenchmarkSpec, config: pipeline.HybridConfig, seed: int):
+    """One seeded solve: its archived points and its wall time in seconds."""
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
     archive = pipeline.solve(spec.problem, config, rng)
-    return archive, time.perf_counter() - started
+    return tuple(archive.entries), time.perf_counter() - started
 
 
 def _usable_cpus() -> int:
@@ -100,12 +101,12 @@ def run_experiment(
     """
     config = replace(hybrid_config, de=replace(hybrid_config.de, variant=variant))
     seeds = tuple(derive_seed(master_seed, i) for i in range(config.runs))
-    jobs = [(spec, config, seed) for seed in seeds]
     if workers is None:
         workers = _usable_cpus()
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, config.runs)
+    solve_run = functools.partial(_solve_run, spec, config)
     if workers > 1:
         try:
             pickle.dumps(spec)
@@ -115,11 +116,11 @@ def run_experiment(
                 f"({exc}); run it with workers=1"
             ) from exc
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_run, jobs))
+            results = list(pool.map(solve_run, seeds))
     else:
-        results = [_solve_run(job) for job in jobs]
+        results = list(map(solve_run, seeds))
 
-    counts = Counter(key for archive, _ in results for key in archive.entries)
+    counts = Counter(point for points, _ in results for point in points)
     for solution in counts:
         if evaluate(spec.problem, solution).violation != 0.0:
             raise AssertionError(f"counted solution {solution} is infeasible")

@@ -120,13 +120,9 @@ def augment_with_violation(problem: Problem) -> Problem:
     )
 
 
-def _stage_de_config(config: HybridConfig) -> de.DEConfig:
+def _run_best(problem_k, config: HybridConfig, objective, draw):
     # anchor-finding subproblems always use the neighborhood variant
-    return replace(config.de, variant="degl")
-
-
-def _run_best(problem_k, de_config, objective, draw):
-    pop = de.run(problem_k, de_config, objective, draw)
+    pop = de.run(problem_k, replace(config.de, variant="degl"), objective, draw)
     best = de.choose_best(pop, range(len(pop)), objective)
     return pop[best]
 
@@ -140,7 +136,6 @@ def stage1_anchors(problem_k: Problem, config: HybridConfig, draw):
     run is spent on it; otherwise its two runs estimate them as for any column.
     """
     k = problem_k.n_objectives
-    cfg = _stage_de_config(config)
     f_star, f_minus = [], []
     feasible_seen = False
     for j, (fn, _) in enumerate(problem_k.objectives):
@@ -148,9 +143,9 @@ def stage1_anchors(problem_k: Problem, config: HybridConfig, draw):
             f_star.append(0.0)
             f_minus.append(0.0)
             continue
-        low = _run_best(problem_k, cfg, de.single_objective(j, k), draw)
+        low = _run_best(problem_k, config, de.single_objective(j, k), draw)
         f_star.append(low.eval.objectives_min[j])
-        high = _run_best(problem_k, cfg, de.single_objective(j, k, negate=True), draw)
+        high = _run_best(problem_k, config, de.single_objective(j, k, negate=True), draw)
         f_minus.append(high.eval.objectives_min[j])
         feasible_seen = feasible_seen or 0.0 in (low.eval.violation, high.eval.violation)
     return tuple(f_star), tuple(f_minus)
@@ -189,9 +184,8 @@ def stage2_anchors(problem_k, frame: CompromiseAnchors, config: HybridConfig, dr
     """Locate the distance extremes: the point closest to the ideal, the point
     farthest from the anti-ideal, and each distance evaluated at the other's
     solution."""
-    cfg = _stage_de_config(config)
-    best_p = _run_best(problem_k, cfg, lambda f: d_pis(f, frame), draw)
-    best_n = _run_best(problem_k, cfg, lambda f: -d_nis(f, frame), draw)
+    best_p = _run_best(problem_k, config, lambda f: d_pis(f, frame), draw)
+    best_n = _run_best(problem_k, config, lambda f: -d_nis(f, frame), draw)
     fp = best_p.eval.objectives_min
     fn = best_n.eval.objectives_min
     return replace(

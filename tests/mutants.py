@@ -6,11 +6,9 @@ copy's ``src/``, runs the Tier-1 command there (``PYTHONPATH=src``), and
 prints the tests that fail. The whole checkout is copied, not ``src/`` alone,
 because ``perfbench/test_perfbench.py`` puts its own checkout's ``src/`` first
 on ``sys.path``. No file of the checkout changes. Each mutant costs a full
-Tier-1 run, one to two minutes on two CPUs, so the result is reported, not
-gated; CI runs ``mu_no_clip``, ``topsis_benefit_as_cost``, ``no_aspiration``,
-``stale_neighbours``, ``keep_dropped``, ``select_le``, ``skip_first_equal``,
-``infeasible_key_flat``, ``no_writeback``, ``stale_objectives`` and
-``elect_worst`` and fails unless some test fails under each.
+Tier-1 run, one to two minutes on two CPUs. The script exits 1 when some
+mutant it ran has no failing test, and names those survivors on stderr; CI
+gates the mutants that its workflow names.
 
 Each pytest run starts in its own session, with its temporary files under the
 mutant's temporary directory. SIGTERM, as a CI timeout sends, raises
@@ -144,7 +142,7 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"error: unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    rows = []
+    rows, survivors = [], []
     for name in names or MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:
             copy = Path(tmp) / "checkout"
@@ -154,12 +152,17 @@ def main(names: list[str]) -> int:
         print(f"{name}: {len(failed)} failing", flush=True)
         for test in failed:
             print(f"  {test}", flush=True)
+        if not failed:
+            survivors.append(name)
         wide = [test[len(WIDE_BOX_PIN):] for test in failed if test.startswith(WIDE_BOX_PIN)]
         rows.append(f"| `{name}` | {MUTANTS[name][3]} | {len(failed)} | "
                     f"{' '.join(wide) or 'no'} |")
     print("\n| mutant | edit | Tier-1 failures | wide-box pin fails (seed) |")
     print("|--------|------|----------------:|---------------------------|")
     print("\n".join(rows))
+    if survivors:
+        print(f"error: no test fails under: {', '.join(survivors)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,8 +18,8 @@ from moits.harness import (
     run_experiment,
     verify_known,
 )
-from moits.pipeline import ArchiveEntry, HybridConfig, SolutionArchive
-from moits.problems import Evaluation, evaluate
+from moits.pipeline import HybridConfig
+from moits.problems import evaluate
 
 SMALL = HybridConfig(
     de=DEConfig(population_size=20, max_iterations=30),
@@ -96,27 +96,21 @@ class TestRunExperiment:
         assert dict(p3_report.counts).get((99, 99), 0) == 0
 
     def test_counts_run_membership(self, monkeypatch):
-        problem = benchmark("p3").problem
-        archives = []
-        for run_id in range(SMALL.runs):
-            found = [(9, 5), (10, 4)] if run_id == 0 else [(9, 5)]
-            archives.append(SolutionArchive({x: ArchiveEntry(evaluate(problem, x)) for x in found}))
-        runs = iter(archives)
-        monkeypatch.setattr(harness, "_solve_run", lambda job: (next(runs), 0.5))
+        runs = iter([((9, 5), (10, 4)), ((9, 5),), ((9, 5),)])
+        monkeypatch.setattr(harness, "_solve_run", lambda spec, config, seed: (next(runs), 0.5))
         report = run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=1)
         assert report.counts == (((9, 5), 3), ((10, 4), 1))
 
     def test_counted_solutions_rechecked_for_feasibility(self, monkeypatch):
         # infeasible in p3
-        archive = SolutionArchive({(5, 7): ArchiveEntry(Evaluation((0.0, 0.0), 0.0))})
-        monkeypatch.setattr(harness, "_solve_run", lambda job: (archive, 0.5))
+        monkeypatch.setattr(harness, "_solve_run", lambda spec, config, seed: (((5, 7),), 0.5))
         with pytest.raises(AssertionError, match=r"\(5, 7\) is infeasible"):
             run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=1)
 
 
 class TestProcessPool:
     def test_two_workers_match_one(self, p3_report):
-        # a real pool: archives come back pickled and are counted in run order
+        # a real pool: points come back pickled and are counted in run order
         pooled = run_experiment(benchmark("p3"), "rand1", SMALL, master_seed=9, workers=2)
         assert report_csv(pooled) == report_csv(p3_report)
         assert pooled.counts == p3_report.counts

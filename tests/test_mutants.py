@@ -1,8 +1,10 @@
 """The mutant list of ``tests/mutants.py`` stays applicable: each mutant's
 text occurs exactly once in the file it edits. A rewrite of the code a mutant
 targets fails here rather than only when someone runs the script, and so does
-a formula written twice, whose second copy the edit would leave intact. A
-script stopped by SIGTERM leaves neither its copy nor its pytest run behind."""
+a formula written twice, whose second copy the edit would leave intact. The
+script's exit status is the verdict: 1 when a mutant it ran has no failing
+test. A script stopped by SIGTERM leaves neither its copy nor its pytest run
+behind."""
 
 import contextlib
 import os
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import mutants
 from mutants import MUTANTS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moits"
@@ -25,6 +28,18 @@ def test_mutant_text_occurs_in_its_file(name):
     file, text, replacement, _ = MUTANTS[name]
     assert (PACKAGE / file).read_text(encoding="utf-8").count(text) == 1
     assert replacement != text
+
+
+@pytest.mark.parametrize("failed, code", [([], 1), (["tests/test_tabu.py::test_kick"], 0)])
+def test_exit_status_is_the_verdict(monkeypatch, capsys, failed, code):
+    monkeypatch.setattr(mutants, "failing_tests", lambda copy: failed)
+    assert mutants.main(["no_kick"]) == code
+    assert ("no_kick" in capsys.readouterr().err) == (code == 1)
+
+
+def test_unknown_mutant_is_a_usage_error(capsys):
+    assert mutants.main(["no_kick", "no_such_mutant"]) == 2
+    assert "no_such_mutant" in capsys.readouterr().err
 
 
 def processes():
