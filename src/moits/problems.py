@@ -228,9 +228,10 @@ def brute_force_pareto(problem: Problem):
     return front
 
 
-def deb_key(fitness: float, violation: float):
+def deb_key(fitness: float | None, violation: float):
     """Total-order key realizing the feasibility rules: feasible first, then
-    fitness among feasibles, violation among infeasibles."""
+    fitness among feasibles, violation among infeasibles. The fitness of an
+    infeasible point is not read, so it may be ``None``."""
     if violation > 0.0:
         return (1, violation)
     return (0, fitness)

@@ -18,10 +18,11 @@ move along variable j is then i -/+ stride_j, and index order is the
 lexicographic order of the points.
 
 Keys: each lattice point's feasibility-rule key is computed the first time
-the walk looks at it, constraints first. Deb's rules rank two infeasible
-points by their violation G alone, so an infeasible point is keyed
-``(1, G)`` without calling an objective; only a feasible point is evaluated
-in full and given its fitness. :class:`CachedEvaluator` stores the keys in
+the walk looks at it, constraints first, and every key comes from
+:func:`~moits.problems.deb_key`, as DE selection's do. Deb's rules rank two
+infeasible points by their violation G alone, so an infeasible point's key
+is built without calling an objective; only a feasible point is evaluated in
+full and given its fitness. :class:`CachedEvaluator` stores the keys in
 the dict ``keys``, the record of every point looked at, which keys a missing
 index on the read, so the walk reads a key as ``keys[i]``. Its ``evals``
 dict holds the full evaluation of exactly the feasible points the walks have
@@ -78,14 +79,15 @@ class CachedEvaluator:
 
     Both caches are dicts keyed by the flat index of a point (see the module
     docstring). Reading ``keys[i]`` for an index not yet keyed calls
-    :meth:`key`, which computes the decoded point's violation G first: an
-    infeasible point gets the key ``(1, G)`` and no objective call, a
-    feasible one is evaluated with :func:`evaluate` on the problem without
-    its constraints, so each constraint is called once per keyed point and
-    the evaluation is the one ``evaluate`` gives. ``keys`` holds exactly the
-    points looked at, whatever the size of the box; ``evals`` holds the full
-    evaluations of exactly the feasible ones among them. A neighbour whose
-    key is stored costs the walk an integer addition and a dict lookup.
+    :meth:`key`, which computes the decoded point's violation G first and
+    builds the key with :func:`deb_key`: an infeasible point gets no
+    objective call and no fitness, a feasible one is evaluated with
+    :func:`evaluate` on the problem without its constraints, so each
+    constraint is called once per keyed point and the evaluation is the one
+    ``evaluate`` gives. ``keys`` holds exactly the points looked at, whatever
+    the size of the box; ``evals`` holds the full evaluations of exactly the
+    feasible ones among them. A neighbour whose key is stored costs the walk
+    an integer addition and a dict lookup.
     """
 
     def __init__(self, problem: Problem, objective):
@@ -121,17 +123,17 @@ class CachedEvaluator:
                       for lo, s, r in zip(self.problem.lower_bounds, self.strides, self.radix)])
 
     def key(self, i: int):
-        """Compute, store in ``keys`` and return the feasibility-rule key of flat
-        index ``i`` under the bound objective, and a feasible point's evaluation
-        in ``evals``; nothing is stored if it raises. ``keys[i]`` calls it on a miss."""
+        """Compute, store in ``keys`` and return the :func:`deb_key` of flat index
+        ``i`` under the bound objective, and a feasible point's evaluation in
+        ``evals``; nothing is stored if it raises. ``keys[i]`` calls it on a miss."""
         x = self.point(i)
         violation = _max_violation(self.problem, x)
-        if violation > 0.0:  # deb_key's infeasible key; it reads no fitness
-            k = self.keys[i] = (1, violation)
-            return k
-        ev = evaluate(self._feasible, x)
-        k = self.keys[i] = deb_key(self.objective(ev.objectives_min), ev.violation)
-        self.evals[i] = ev
+        fitness = None  # deb_key reads no fitness at an infeasible point
+        if violation == 0.0:
+            ev = evaluate(self._feasible, x)
+            fitness = self.objective(ev.objectives_min)
+            self.evals[i] = ev
+        k = self.keys[i] = deb_key(fitness, violation)
         return k
 
 

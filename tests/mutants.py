@@ -7,8 +7,8 @@ prints the tests that fail. The whole checkout is copied, not ``src/`` alone,
 because ``perfbench/test_perfbench.py`` puts its own checkout's ``src/`` first
 on ``sys.path``. No file of the checkout changes. Each mutant costs a full
 Tier-1 run, one to two minutes on two CPUs. The script exits 1 when some
-mutant it ran has no failing test, and names those survivors on stderr; CI
-gates the mutants that its workflow names.
+mutant it ran has no failing test, and names those survivors on stderr. CI
+runs it with no names, so every mutant of ``MUTANTS`` is gated.
 
 Each pytest run starts in its own session, with its temporary files under the
 mutant's temporary directory. SIGTERM, as a CI timeout sends, raises
@@ -35,8 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # name: (file under src/moits, text, replacement, what the edit breaks);
-# the text occurs exactly once in its file, so a formula written twice cannot
-# hide a copy that the edit leaves intact
+# the text occurs exactly once in the whole package, so a formula written
+# twice cannot hide a copy that the edit leaves intact
 MUTANTS = {
     "elect_worst": ("de.py", "cost_closeness(np.take(pairs, rows, axis=1).T).argmax(axis=-1)",
                     "cost_closeness(np.take(pairs, rows, axis=1).T).argmin(axis=-1)",
@@ -61,8 +61,7 @@ MUTANTS = {
     "no_writeback": ("pipeline.py", "if evaluator.keys[j] < deb_key(",
                      "if False and evaluator.keys[j] < deb_key(",
                      "stage 3 never writes a tabu point back"),
-    "infeasible_key_flat": ("tabu.py", "k = self.keys[i] = (1, violation)",
-                            "k = self.keys[i] = (1, 0.0)",
+    "infeasible_key_flat": ("problems.py", "return (1, violation)", "return (1, 0.0)",
                             "an infeasible point is keyed (1, 0.0) whatever its violation"),
     "stale_neighbours": ("tabu.py", "i, better = best, None", "i = best",
                          "a winning move keeps the neighbours that beat the point it left"),

@@ -1,7 +1,8 @@
 """The mutant list of ``tests/mutants.py`` stays applicable: each mutant's
-text occurs exactly once in the file it edits. A rewrite of the code a mutant
-targets fails here rather than only when someone runs the script, and so does
-a formula written twice, whose second copy the edit would leave intact. The
+text occurs exactly once in the whole package, in the file it edits. A
+rewrite of the code a mutant targets fails here rather than only when
+someone runs the script, and so does a formula written twice, in the same
+file or in another, whose second copy the edit would leave intact. The
 script's exit status is the verdict: 1 when a mutant it ran has no failing
 test. A script stopped by SIGTERM leaves neither its copy nor its pytest run
 behind."""
@@ -25,8 +26,11 @@ SCRIPT = Path(__file__).resolve().parent / "mutants.py"
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_text_occurs_in_its_file(name):
+    # and nowhere else in the package
     file, text, replacement, _ = MUTANTS[name]
-    assert (PACKAGE / file).read_text(encoding="utf-8").count(text) == 1
+    counts = {path.relative_to(PACKAGE).as_posix(): path.read_text(encoding="utf-8").count(text)
+              for path in PACKAGE.rglob("*.py")}
+    assert {path: count for path, count in counts.items() if count} == {file: 1}
     assert replacement != text
 
 

@@ -187,4 +187,4 @@ class TestSolveProperties:
                               ts_iterations=1000, alternations=2, runs=1)
         archive = solve(problem, config, np.random.default_rng(0))
         front = {x for x, _ in brute_force_pareto(problem)}
-        assert set(archive.solutions()) <= front
+        assert set(archive.solutions()) == front
